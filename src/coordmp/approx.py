@@ -34,7 +34,12 @@ from coordmp.core import (
     shortest_path_distance,
     validate_schedule,
 )
-from coordmp.havenswap import HavenConfiguration, MoveStep, swap
+from coordmp.havenswap import (
+    HavenConfiguration,
+    MoveStep,
+    _schedule_to_steps,
+    swap,
+)
 from coordmp.oracle import (
     Limits,
     SearchResult,
@@ -53,16 +58,6 @@ NICE_RADIUS_FACTOR = 11
 # Free robots in degenerate regions are confined to this many vertices
 # around their start (times k).
 POCKET_DOMAIN_FACTOR = 9
-
-
-@dataclass(frozen=True)
-class ApproxReport:
-    """Constructive solve outcome and its overhead over the distance sum."""
-
-    schedule: Schedule
-    energy: int
-    lower_bound: int
-    overhead: int
 
 
 @dataclass(frozen=True)
@@ -143,20 +138,6 @@ def _nearest_vertices(graph, start, count):
                     grown.append(w)
         layer = grown
     return frozenset(out[:count])
-
-
-def _schedule_to_steps(schedule: Schedule, robots) -> list[MoveStep]:
-    """Flatten a schedule into per-step move tuples, dropping waits."""
-    steps = []
-    for t in range(schedule.horizon):
-        moves = tuple(
-            (robots[i].id, route.positions[t], route.positions[t + 1])
-            for i, route in enumerate(schedule.routes)
-            if route.positions[t] != route.positions[t + 1]
-        )
-        if moves:
-            steps.append(moves)
-    return steps
 
 
 def _steps_to_schedule(instance: Instance, steps) -> Schedule:
@@ -438,27 +419,39 @@ def _degenerate_component(graph, robots, offender, k, limits) -> list[MoveStep]:
     raise err
 
 
-def _report(instance, schedule, lower_bound):
+def _report(instance, schedule, lower_bound) -> SearchResult:
     check = validate_schedule(instance, schedule)
     if not check.ok:
         raise RuntimeError(
             f"internal error: constructed schedule invalid: {check.violation}"
         )
-    return ApproxReport(
-        schedule, check.energy, lower_bound, check.energy - lower_bound
-    )
+    budget = instance.budget
+    if budget is None or check.energy <= budget:
+        status = "ok"
+    elif lower_bound > budget:
+        # Even a perfect schedule needs more moves than the budget.
+        status = "budget-exceeded"
+    else:
+        # The schedule overshoots the budget but the lower bound does not
+        # rule out a cheaper one; this run cannot decide.
+        status = "budget-limited"
+    return SearchResult(status, check.energy, schedule, lower_bound=lower_bound)
 
 
-def approximate(instance: Instance, limits: Limits | None = None) -> ApproxReport:
+def approximate(instance: Instance, limits: Limits | None = None) -> SearchResult:
     """Valid schedule with additive overhead polynomial in the robot count.
 
     Robots are parked in pairwise-disjoint havens near their starts, then
     destination-bearing robots walk to their goals one at a time, crossing
     occupied havens via bounded internal rearrangements; blocked routings
-    degrade to exact search.  Raises InfeasibleError for unreachable goals
-    and UnsupportedStructureError when some robot endpoint has no nice
-    vertex within ``NICE_RADIUS_FACTOR * k`` and the exact fallback is out
-    of reach.
+    degrade to exact search.  The result carries the schedule, its energy
+    and the distance lower bound; its status is ok (within the instance
+    budget, or no budget), budget-exceeded (the lower bound exceeds the
+    budget) or budget-limited (undecided).  Raises InfeasibleError for
+    unreachable goals, LimitError when the feasibility precheck or an exact
+    fallback hits the state cap, and UnsupportedStructureError when some
+    robot endpoint has no nice vertex within ``NICE_RADIUS_FACTOR * k`` and
+    the exact fallback is out of reach.
     """
     limits = limits or default_limits()
     lower_bound = 0

@@ -38,6 +38,19 @@ EXIT_INPUT = 3
 EXIT_LIMIT = 4
 
 ALGORITHMS = ("oracle", "critical", "gcmp1", "approx", "twdp")
+# Every algorithm but twdp, whose extra options the CLI passes itself.
+_SOLVERS = {
+    "oracle": solve_exact,
+    "critical": solve_critical,
+    "gcmp1": solve_gcmp1,
+    "approx": approximate,
+}
+_EXIT_BY_STATUS = {
+    "optimal": EXIT_OK,
+    "ok": EXIT_OK,
+    "budget-exceeded": EXIT_OVER_BUDGET,
+    "infeasible": EXIT_INFEASIBLE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,18 +87,6 @@ def _limits(args) -> Limits:
     return default_limits()
 
 
-def _check_threads(args) -> None:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        return
-    if threads < 1:
-        raise InputError("thread count must be positive")
-    # Solvers are sequential; the cap is recorded so scripted runs that
-    # request it are honest about what actually executed.
-    print(f"note: worker cap {threads} recorded; solvers run sequentially",
-          file=sys.stderr)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coordmp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--checkpoint-budget", type=int)
     solve.add_argument("--visit-cap", type=int, default=2)
     solve.add_argument("--td-file", help="tree decomposition file for twdp")
-    solve.add_argument("--threads", type=int)
 
     val = sub.add_parser("validate", help="check a schedule against an instance")
     val.add_argument("-i", "--instance", required=True)
@@ -152,71 +152,31 @@ def _summary(alg: str, energy, status: str) -> None:
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(_read(args.instance))
-    _check_threads(args)
     limits = _limits(args)
-    alg = args.alg
-    if alg == "oracle":
-        result = solve_exact(instance, limits)
-    elif alg == "critical":
-        result = solve_critical(instance, limits)
-    elif alg == "gcmp1":
-        result = solve_gcmp1(instance, limits)
-    elif alg == "twdp":
-        td = None
-        if args.td_file is not None:
-            td = parse_td(_read(args.td_file), instance.graph,
-                          frozenset(r.start for r in instance.robots)
-                          | frozenset(r.goal for r in instance.robots
-                                      if r.goal is not None))
-        result = solve_twdp(instance, args.checkpoint_budget,
-                            visit_cap=args.visit_cap, td=td, limits=limits)
-    else:  # approx
-        try:
-            report = approximate(instance, limits)
-        except InfeasibleError as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            _summary(alg, None, "infeasible")
-            return EXIT_INFEASIBLE
-        budget = instance.budget
-        if budget is None or report.energy <= budget:
-            status, code = "ok", EXIT_OK
-        elif report.lower_bound > budget:
-            # Even a perfect schedule needs more moves than the budget.
-            status, code = "budget-exceeded", EXIT_OVER_BUDGET
+    try:
+        if args.alg == "twdp":
+            td = None if args.td_file is None else parse_td(_read(args.td_file))
+            result = solve_twdp(instance, args.checkpoint_budget,
+                                visit_cap=args.visit_cap, td=td, limits=limits)
         else:
-            # The found schedule overshoots the budget but the lower bound
-            # does not rule out a cheaper one; this run cannot decide.
-            status, code = "budget-limited", EXIT_LIMIT
-        _summary(alg, report.energy, status)
-        sched_text = render_schedule(report.schedule)
-        if args.out:
-            _write(args.out, sched_text)
-        else:
-            sys.stdout.write(sched_text)
-        return code
-
-    _summary(alg, result.energy, result.status)
-    if result.schedule is not None:
-        sched_text = render_schedule(result.schedule)
-        if args.out:
-            _write(args.out, sched_text)
-        else:
-            sys.stdout.write(sched_text)
-    if result.status == "optimal":
-        return EXIT_OK
-    if result.status == "budget-exceeded":
-        return EXIT_OVER_BUDGET
-    if result.status == "infeasible":
+            result = _SOLVERS[args.alg](instance, limits)
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        _summary(args.alg, None, "infeasible")
         return EXIT_INFEASIBLE
+    _summary(args.alg, result.energy, result.status)
+    if result.schedule is not None:
+        _write(args.out, render_schedule(result.schedule))
     if (
         result.status == "budget-limited"
         and result.energy is not None
         and (instance.budget is None or result.energy <= instance.budget)
     ):
-        # Uncertified but witnessed: the checkpoint search found a real
-        # schedule at this energy, which answers "yes" within the budget.
+        # Uncertified but witnessed: the run found a real schedule at this
+        # energy, which answers "yes" within the budget.
         return EXIT_OK
-    return EXIT_LIMIT  # state-limit or an exhausted checkpoint budget
+    # state-limit and undecided budget-limited runs end at the limit.
+    return _EXIT_BY_STATUS.get(result.status, EXIT_LIMIT)
 
 
 def _cmd_validate(args) -> int:

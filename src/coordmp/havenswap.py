@@ -17,10 +17,12 @@ from .core import (
     InputError,
     Instance,
     LimitError,
+    Robot,
     Route,
     Schedule,
     validate_schedule,
 )
+from .oracle import Limits, solve_restricted
 from .structure import Haven, check_haven
 
 # State cap for the exact fallback searches on the haven's configuration
@@ -151,6 +153,20 @@ def _absorb(state: _SwapState, tree: _Tree, blocked: set[int]) -> bool:
     return True
 
 
+def _schedule_to_steps(schedule: Schedule, robots) -> list[MoveStep]:
+    """Flatten a schedule into per-step move tuples, dropping waits."""
+    steps = []
+    for t in range(schedule.horizon):
+        moves = tuple(
+            (robots[i].id, route.positions[t], route.positions[t + 1])
+            for i, route in enumerate(schedule.routes)
+            if route.positions[t] != route.positions[t + 1]
+        )
+        if moves:
+            steps.append(moves)
+    return steps
+
+
 def _config_search(
     graph: Graph,
     members: frozenset[int],
@@ -159,41 +175,14 @@ def _config_search(
     target: dict[int, int],
     cap: int,
 ) -> list[MoveStep]:
-    """Minimum-move single-step search on the haven configuration graph."""
-    order = sorted(robot_ids)
-    s0 = tuple(start[r] for r in order)
-    goal = tuple(target[r] for r in order)
-    if s0 == goal:
-        return []
-    parents: dict[tuple, tuple | None] = {s0: None}
-    moves_taken: dict[tuple, tuple[int, int, int]] = {}
-    frontier = deque((s0,))
-    while frontier:
-        cfg = frontier.popleft()
-        occupied = set(cfg)
-        for i, u in enumerate(cfg):
-            for nb in graph.neighbors(u):
-                if nb not in members or nb in occupied:
-                    continue
-                nxt = cfg[:i] + (nb,) + cfg[i + 1 :]
-                if nxt in parents:
-                    continue
-                parents[nxt] = cfg
-                moves_taken[nxt] = (order[i], u, nb)
-                if nxt == goal:
-                    seq = []
-                    cur = nxt
-                    while parents[cur] is not None:
-                        seq.append((moves_taken[cur],))
-                        cur = parents[cur]
-                    seq.reverse()
-                    return seq
-                frontier.append(nxt)
-        if len(parents) > cap:
-            raise LimitError(
-                "haven reconfiguration fallback exceeded the state cap"
-            )
-    raise LimitError("haven reconfiguration fallback found no route")
+    """Minimum-energy steps between two placements, confined to the haven."""
+    robots = tuple(Robot(r, start[r], target[r]) for r in sorted(robot_ids))
+    result = solve_restricted(
+        Instance(graph, robots), [members] * len(robots), Limits(max_states=cap)
+    )
+    if result.status != "optimal":
+        raise LimitError(f"haven reconfiguration fallback: {result.status}")
+    return _schedule_to_steps(result.schedule, robots)
 
 
 def swap(

@@ -17,6 +17,7 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from coordmp.core import (
     Graph,
@@ -25,6 +26,7 @@ from coordmp.core import (
     LimitError,
     Route,
     Schedule,
+    shortest_path_distance,
 )
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -35,12 +37,10 @@ STATE_CAP_ENV = "COORDMP_STATE_CAP"
 class Limits:
     """Resource limits for configuration searches.
 
-    max_states caps expanded states (sized for roughly n <= 12, k <= 4);
-    max_horizon caps feasibility-search depth in steps.
+    max_states caps expanded states (sized for roughly n <= 12, k <= 4).
     """
 
     max_states: int = DEFAULT_STATE_CAP
-    max_horizon: int | None = None
 
 
 def default_limits() -> Limits:
@@ -56,12 +56,21 @@ def default_limits() -> Limits:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Search outcome: status in optimal|infeasible|budget-exceeded|state-limit."""
+    """Outcome of every solver.
+
+    status is one of: optimal (exact minimum energy), infeasible (no
+    schedule reaches the goals), budget-exceeded (certified: every schedule
+    costs more than the instance budget), state-limit (the state cap cut
+    the search), budget-limited (an answer this run could not certify) or
+    ok (a valid schedule whose energy is not claimed optimal).
+    lower_bound, when set, is the sum of the movers' start-goal distances.
+    """
 
     status: str
     energy: int | None = None
     schedule: Schedule | None = None
     states_expanded: int = 0
+    lower_bound: int | None = None
 
 
 def _occupied_cycles(graph: Graph, state: tuple[int, ...]):
@@ -87,8 +96,11 @@ def _occupied_cycles(graph: Graph, state: tuple[int, ...]):
                     stack.append((nxt, path + [nxt]))
 
 
-def _successors(graph: Graph, state: tuple[int, ...], domains):
-    """Yield (next_state, weight, movers) for single moves and rotations."""
+def _successors(graph: Graph, domains, state: tuple[int, ...]):
+    """Yield (next_state, weight, steps) for single moves and rotations.
+
+    steps is the per-step state sequence of the transition: (next_state,).
+    """
     occupied = set(state)
     for i, v in enumerate(state):
         allowed = domains[i] if domains is not None else None
@@ -98,7 +110,7 @@ def _successors(graph: Graph, state: tuple[int, ...], domains):
             if allowed is not None and u not in allowed:
                 continue
             nxt = state[:i] + (u,) + state[i + 1 :]
-            yield nxt, 1, (i,)
+            yield nxt, 1, (nxt,)
     for cycle in _occupied_cycles(graph, state):
         for direction in (1, -1):
             targets = {}
@@ -115,7 +127,7 @@ def _successors(graph: Graph, state: tuple[int, ...], domains):
             nxt = tuple(
                 targets.get(i, state[i]) for i in range(len(state))
             )
-            yield nxt, len(cycle), cycle
+            yield nxt, len(cycle), (nxt,)
 
 
 def _goal_reached(instance: Instance, state: tuple[int, ...]) -> bool:
@@ -230,32 +242,27 @@ def _feasibility_scan(instance, successors, limits) -> str:
     start = tuple(r.start for r in instance.robots)
     if _goal_reached(instance, start):
         return "feasible"
+    if any(
+        shortest_path_distance(instance.graph, r.start, r.goal) is None
+        for r in instance.movers
+    ):
+        return "infeasible"  # a goal is cut off even with no other robot
     seen = {start}
-    queue = deque([(start, 0)])
+    queue = deque([start])
     expanded = 0
     while queue:
-        state, depth = queue.popleft()
+        state = queue.popleft()
         expanded += 1
         if expanded > limits.max_states:
             return "state-limit"
-        if limits.max_horizon is not None and depth >= limits.max_horizon:
-            continue
         for nxt, _, _ in successors(state):
             if nxt in seen:
                 continue
             if _goal_reached(instance, nxt):
                 return "feasible"
             seen.add(nxt)
-            queue.append((nxt, depth + 1))
+            queue.append(nxt)
     return "infeasible"
-
-
-def _plain_successors(graph: Graph, domains=None):
-    def gen(state):
-        for nxt, weight, _ in _successors(graph, state, domains):
-            yield nxt, weight, [nxt]
-
-    return gen
 
 
 def _solve(instance: Instance, successors, limits: Limits) -> SearchResult:
@@ -293,7 +300,7 @@ def solve_exact(instance: Instance, limits: Limits | None = None) -> SearchResul
     state-limit.  Emitted schedules always have horizon <= energy.
     """
     limits = limits or default_limits()
-    return _solve(instance, _plain_successors(instance.graph), limits)
+    return _solve(instance, partial(_successors, instance.graph, None), limits)
 
 
 def solve_restricted(
@@ -323,7 +330,7 @@ def solve_restricted(
             raise InputError(f"robot {robot.id}: goal not in domain")
         frozen.append(dom)
     return _solve(
-        instance, _plain_successors(instance.graph, tuple(frozen)), limits
+        instance, partial(_successors, instance.graph, tuple(frozen)), limits
     )
 
 
@@ -339,7 +346,7 @@ def check_feasible(instance: Instance, limits: Limits | None = None) -> str:
     ):
         return "feasible"
     return _feasibility_scan(
-        instance, _plain_successors(instance.graph), limits
+        instance, partial(_successors, instance.graph, None), limits
     )
 
 
@@ -413,8 +420,7 @@ def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchRe
 
     def gen(state):
         occupied = set(state)
-        for nxt, weight, _ in _successors(g, state, crit_domains):
-            yield nxt, weight, [nxt]
+        yield from _successors(g, crit_domains, state)
         for i, v in enumerate(state):
             for target, weight, path in transits[v]:
                 if target in occupied:

@@ -23,11 +23,19 @@ from dataclasses import dataclass, field
 
 from coordmp.core import (
     Graph,
+    InfeasibleError,
     InputError,
     Instance,
     LimitError,
+    UnsupportedStructureError,
 )
-from coordmp.oracle import Limits, SearchResult, default_limits, solve_exact
+from coordmp.oracle import (
+    Limits,
+    SearchResult,
+    _trivial_result,
+    default_limits,
+    solve_exact,
+)
 
 UP = -1
 DOWN = -2
@@ -945,10 +953,7 @@ def solve_twdp(
     if instance.k == 0 or all(
         r.goal is None or r.goal == r.start for r in instance.robots
     ):
-        from coordmp.core import Route, Schedule
-
-        sched = Schedule(tuple(Route((r.start,)) for r in instance.robots))
-        return SearchResult("optimal", 0, sched, 0)
+        return _trivial_result(instance)
     terminals = frozenset(
         {r.start for r in instance.robots}
         | {r.goal for r in instance.robots if r.goal is not None}
@@ -1049,11 +1054,11 @@ def solve_twdp(
 
 
 def _upper_bound(instance: Instance) -> int:
-    try:
-        from coordmp.approx import approximate
+    from coordmp.approx import approximate
 
+    try:
         return approximate(instance).energy
-    except Exception:
+    except (InfeasibleError, LimitError, UnsupportedStructureError):
         return _default_rho(instance)
 
 

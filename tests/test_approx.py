@@ -6,7 +6,6 @@ import random
 import pytest
 
 from coordmp.approx import (
-    ApproxReport,
     RestrictionResult,
     approximate,
     energy_ball_restrict,
@@ -75,17 +74,23 @@ def two_star_corridor():
 
 
 def test_approximate_single_robot_zero_overhead():
-    g = path_graph(5)
-    rep = approximate(Instance(g, (Robot(0, 0, 4),)))
-    assert rep.energy == 4 and rep.lower_bound == 4 and rep.overhead == 0
-    assert validate_schedule(Instance(g, (Robot(0, 0, 4),)), rep.schedule).ok
+    # (path length, budget, status): a budget below the distance is a
+    # certified "no", since the lower bound alone exceeds it.
+    for n, budget, status in ((5, None, "ok"), (3, 2, "ok"),
+                              (3, 1, "budget-exceeded")):
+        inst = Instance(path_graph(n), (Robot(0, 0, n - 1),), budget)
+        rep = approximate(inst)
+        assert rep.status == status
+        assert rep.energy == rep.lower_bound == n - 1
+        assert validate_schedule(inst, rep.schedule).ok
 
 
 def test_approximate_all_stationary_is_empty():
     g = path_graph(4)
     inst = Instance(g, (Robot(0, 1, 1), Robot(1, 3, None)))
     rep = approximate(inst)
-    assert rep.energy == 0 and rep.overhead == 0
+    assert rep.status == "ok"
+    assert rep.energy == 0 and rep.energy - rep.lower_bound == 0
     assert rep.schedule.horizon == 0
 
 
@@ -95,9 +100,16 @@ def test_approximate_grown_star_sandwich():
     inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)))
     rep = approximate(inst)
     exact = solve_exact(inst)
-    assert exact.energy == 3
+    assert exact.energy == 3 and rep.status == "ok"
     assert exact.energy <= rep.energy <= exact.energy + 20 * 2**5
     assert validate_schedule(inst, rep.schedule).ok
+    # Two leaves swap: 6 moves found, 4 by the distance bound.  A budget of
+    # 5 is neither met nor ruled out, so the run cannot decide it.
+    for budget, status in ((None, "ok"), (6, "ok"), (5, "budget-limited")):
+        swap = Instance(star_graph(3), (Robot(0, 1, 2), Robot(1, 2, 1)), budget)
+        rep = approximate(swap)
+        assert (rep.status, rep.energy, rep.lower_bound) == (status, 6, 4)
+        assert validate_schedule(swap, rep.schedule).ok
 
 
 def test_approximate_deterministic():
@@ -135,7 +147,8 @@ def test_approximate_disconnected_components_compose():
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
     inst = Instance(g, (Robot(0, 0, 3), Robot(1, 7, 4)))
     rep = approximate(inst)
-    assert rep.energy == 6 and rep.overhead == 0
+    assert rep.status == "ok"
+    assert rep.energy == 6 and rep.energy - rep.lower_bound == 0
     assert validate_schedule(inst, rep.schedule).ok
 
 
@@ -168,8 +181,9 @@ def test_approximate_random_sandwich(capsys):
         assert exact.status == "optimal"
         assert exact.energy <= rep.energy <= exact.energy + 20 * k**5
         assert validate_schedule(inst, rep.schedule).ok
+        assert rep.status == "ok"
         if k == 1:
-            assert rep.overhead == 0
+            assert rep.energy - rep.lower_bound == 0
         worst = max(worst, (rep.energy - exact.energy) / k**5)
         checked += 1
     assert checked >= 80

@@ -7,6 +7,7 @@ import pytest
 from coordmp.cli import main
 from coordmp.core import parse_instance, parse_schedule, validate_schedule
 from coordmp.hardness import MulticoloredGraph, render_mcc
+from coordmp.twdp import build_nice_td, render_td
 
 P3_BUDGET2 = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 2\n"
 P3_TIGHT = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 1\n"
@@ -108,9 +109,17 @@ def test_solver_schedules_revalidate_from_disk(tmp_path, capsys):
 
 def test_solve_twdp_summary(tmp_path, capsys):
     inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
-    code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst)
-    assert code == 0
-    assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
+    graph = parse_instance(P3_BUDGET2).graph
+    td = _file(tmp_path, "p3.td", render_td(build_nice_td(graph, {0, 2})))
+    for extra in ((), ("--td-file", td)):
+        code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst, *extra)
+        assert code == 0
+        assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
+    # A decomposition built for other terminals is rejected as input.
+    wrong = _file(tmp_path, "wrong.td", render_td(build_nice_td(graph, {1})))
+    code, _, err = run(capsys, "solve", "--alg", "twdp", "-i", inst,
+                       "--td-file", wrong)
+    assert code == 3 and "input error" in err
 
 
 def test_solve_state_cap_exit_4(tmp_path, capsys):
@@ -126,16 +135,6 @@ def test_state_cap_env_honored(tmp_path, capsys, monkeypatch):
     inst = _file(tmp_path, "p4.gcmp", P4_ONE_MOVER)
     code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", inst)
     assert code == 4 and "status=state-limit" in out
-
-
-def test_threads_flag_validated_and_recorded(tmp_path, capsys):
-    inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
-    code, _, err = run(capsys, "solve", "--alg", "oracle", "-i", inst,
-                       "--threads", "4")
-    assert code == 0 and "worker cap 4" in err
-    code, _, _ = run(capsys, "solve", "--alg", "oracle", "-i", inst,
-                     "--threads", "0")
-    assert code == 3
 
 
 def test_solve_input_errors_exit_3(tmp_path, capsys):

@@ -107,6 +107,18 @@ def test_budget_statuses_distinguished():
     assert solve_exact(blocked).status == "infeasible"
 
 
+def test_unreachable_goal_infeasible_without_search():
+    # Goal 5 lies outside its robot's component; no search can reach it,
+    # whatever the budget or the state cap.
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+    robots = (Robot(0, 0, 5), Robot(1, 1, None), Robot(2, 2, None))
+    limits = Limits(max_states=5)
+    for budget in (None, 10):
+        res = solve_exact(Instance(g, robots, budget), limits)
+        assert (res.status, res.states_expanded) == ("infeasible", 0)
+    assert check_feasible(Instance(g, robots), limits) == "infeasible"
+
+
 def test_state_limit_reported():
     inst = path_instance(9, [Robot(0, 0, 8), Robot(1, 3, None), Robot(2, 5, None)])
     res = solve_exact(inst, Limits(max_states=2))
