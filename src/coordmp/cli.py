@@ -29,7 +29,7 @@ from coordmp.hardness import parse_mcc, reduce_mcc
 from coordmp.oracle import Limits, default_limits, solve_critical, solve_exact
 from coordmp.render import render_dot, render_frames, render_text_trace
 from coordmp.structure import ClassificationError, classify_vertex
-from coordmp.twdp import parse_td, solve_twdp
+from coordmp.twdp import DEFAULT_VISIT_CAP, parse_td, solve_twdp
 
 EXIT_OK = 0
 EXIT_OVER_BUDGET = 1
@@ -96,9 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-i", "--instance", required=True)
     solve.add_argument("-o", "--out", help="schedule output path")
     solve.add_argument("--state-cap", type=int, help="search state limit")
-    solve.add_argument("--checkpoint-budget", type=int)
-    solve.add_argument("--visit-cap", type=int, default=2)
-    solve.add_argument("--td-file", help="tree decomposition file for twdp")
+    solve.add_argument("--checkpoint-budget", type=int,
+                       help="twdp only: per-node sequence length cap")
+    solve.add_argument("--visit-cap", type=int,
+                       help=f"twdp only: visits per vertex (default "
+                            f"{DEFAULT_VISIT_CAP})")
+    solve.add_argument("--td-file", help="twdp only: tree decomposition file")
 
     val = sub.add_parser("validate", help="check a schedule against an instance")
     val.add_argument("-i", "--instance", required=True)
@@ -150,14 +153,24 @@ def _summary(alg: str, energy, status: str) -> None:
     print(f"alg={alg} energy={e} status={status}")
 
 
+_TWDP_OPTIONS = ("checkpoint_budget", "visit_cap", "td_file")
+
+
 def _cmd_solve(args) -> int:
+    if args.alg != "twdp":
+        for name in _TWDP_OPTIONS:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise InputError(f"{flag} applies only to --alg twdp")
     instance = parse_instance(_read(args.instance))
     limits = _limits(args)
     try:
         if args.alg == "twdp":
             td = None if args.td_file is None else parse_td(_read(args.td_file))
+            visit_cap = (DEFAULT_VISIT_CAP if args.visit_cap is None
+                         else args.visit_cap)
             result = solve_twdp(instance, args.checkpoint_budget,
-                                visit_cap=args.visit_cap, td=td, limits=limits)
+                                visit_cap=visit_cap, td=td, limits=limits)
         else:
             result = _SOLVERS[args.alg](instance, limits)
     except InfeasibleError as exc:

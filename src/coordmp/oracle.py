@@ -10,6 +10,14 @@ occupied cycles: chains serialize into single moves at equal total energy,
 while cycle rotations cannot be serialized.  The generator therefore emits
 single moves plus whole-cycle rotations, which preserves both feasibility
 and the optimal energy while keeping branching small.
+
+Every successor generator yields ``(next, weight, steps, moved)``: steps is
+the per-step state sequence of the transition (one state, or a corridor
+walk for transits) and moved holds the indices of the robots whose vertex
+changed.  The search updates its goal-distance bound from moved alone, so
+a successor costs O(robots moved) rather than O(k).  Occupied cycles are
+found from the occupied neighbours that the single-move loop sees anyway,
+and only when the occupied subgraph can contain one.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ from coordmp.core import (
     LimitError,
     Route,
     Schedule,
+    bfs_distances,
     shortest_path_distance,
 )
 
@@ -73,19 +82,13 @@ class SearchResult:
     lower_bound: int | None = None
 
 
-def _occupied_cycles(graph: Graph, state: tuple[int, ...]):
-    """Simple cycles (length >= 3) among currently occupied vertices.
+def _cycles(adj):
+    """Simple cycles (length >= 3) of an index graph; each undirected cycle once.
 
-    Returned as index tuples into state; each undirected cycle once.
+    adj[i] lists i's neighbours in ascending order.  Cycles come as index
+    tuples starting at their smallest index.
     """
-    k = len(state)
-    if k < 3:
-        return
-    adj = [
-        [j for j in range(k) if j != i and graph.has_edge(state[i], state[j])]
-        for i in range(k)
-    ]
-    for s in range(k):
+    for s in range(len(adj)):
         stack = [(s, [s])]
         while stack:
             last, path = stack.pop()
@@ -96,38 +99,61 @@ def _occupied_cycles(graph: Graph, state: tuple[int, ...]):
                     stack.append((nxt, path + [nxt]))
 
 
-def _successors(graph: Graph, domains, state: tuple[int, ...]):
-    """Yield (next_state, weight, steps) for single moves and rotations.
+def _has_cycle(adj) -> bool:
+    """Whether peeling vertices of degree <= 1 leaves any vertex."""
+    degree = [len(nbrs) for nbrs in adj]
+    peeled = [d <= 1 for d in degree]
+    stack = [i for i, gone in enumerate(peeled) if gone]
+    left = len(adj) - len(stack)
+    while stack:
+        for j in adj[stack.pop()]:
+            if not peeled[j]:
+                degree[j] -= 1
+                if degree[j] <= 1:
+                    peeled[j] = True
+                    left -= 1
+                    stack.append(j)
+    return left > 0
 
-    steps is the per-step state sequence of the transition: (next_state,).
+
+def _successors(graph: Graph, domains, state: tuple[int, ...]):
+    """Yield (next_state, weight, steps, moved) for single moves and rotations.
+
+    steps is (next_state,); moved is (i,) for a single move of robot i and
+    the cycle's index tuple for a rotation.  The occupied neighbours met
+    while emitting single moves form the occupied adjacency; rotations are
+    enumerated only when it has at least three edges and a cycle.
     """
-    occupied = set(state)
+    index = {v: i for i, v in enumerate(state)}
+    adj = []
+    occupied_edges = 0
     for i, v in enumerate(state):
         allowed = domains[i] if domains is not None else None
+        head, tail, moved = state[:i], state[i + 1 :], (i,)
+        occupied = []
         for u in graph.neighbors(v):
-            if u in occupied:
-                continue
-            if allowed is not None and u not in allowed:
-                continue
-            nxt = state[:i] + (u,) + state[i + 1 :]
-            yield nxt, 1, (nxt,)
-    for cycle in _occupied_cycles(graph, state):
+            if u in index:
+                occupied.append(index[u])
+            elif allowed is None or u in allowed:
+                nxt = head + (u,) + tail
+                yield nxt, 1, (nxt,), moved
+        occupied.sort()
+        adj.append(occupied)
+        occupied_edges += len(occupied)
+    if occupied_edges < 6 or not _has_cycle(adj):  # each edge counted twice
+        return
+    for cycle in _cycles(adj):
+        length = len(cycle)
         for direction in (1, -1):
-            targets = {}
-            ok = True
+            nxt = list(state)
             for pos, i in enumerate(cycle):
-                j = cycle[(pos + direction) % len(cycle)]
-                tgt = state[j]
+                tgt = state[cycle[(pos + direction) % length]]
                 if domains is not None and tgt not in domains[i]:
-                    ok = False
                     break
-                targets[i] = tgt
-            if not ok:
-                continue
-            nxt = tuple(
-                targets.get(i, state[i]) for i in range(len(state))
-            )
-            yield nxt, len(cycle), (nxt,)
+                nxt[i] = tgt
+            else:
+                nxt = tuple(nxt)
+                yield nxt, length, (nxt,), cycle
 
 
 def _goal_reached(instance: Instance, state: tuple[int, ...]) -> bool:
@@ -143,98 +169,84 @@ def _trivial_result(instance: Instance) -> SearchResult:
     return SearchResult("optimal", 0, sched, 0)
 
 
-def _reconstruct(instance: Instance, parents, goal_state) -> Schedule:
+def _reconstruct(instance: Instance, table, goal_state) -> Schedule:
     chain = [goal_state]
-    while parents[chain[-1]][0] is not None:
-        chain.append(parents[chain[-1]][0])
+    while table[chain[-1]][1] is not None:
+        chain.append(table[chain[-1]][1])
     chain.reverse()
     # Expand each transition into its per-step states (transits span several).
     states = [chain[0]]
     for state in chain[1:]:
-        states.extend(parents[state][1])
+        states.extend(table[state][2])
     routes = tuple(
         Route(tuple(s[i] for s in states)) for i in range(instance.k)
     )
     return Schedule(routes)
 
 
-def _goal_distance_maps(instance):
-    """Per-robot BFS distance-to-goal maps (None for free robots).
+def _goal_distances(instance):
+    """Per-robot BFS distance to the goal, as lists indexed by vertex.
 
-    Summing these gives a consistent lower bound on remaining energy: every
-    unit of weight moves one robot across one edge, shrinking at most one
-    term by one.
+    Free robots get all zeros; a mover's vertices outside its goal's
+    component hold None.  Summing the entries at a state's vertices gives a
+    consistent lower bound on remaining energy: every unit of weight moves
+    one robot across one edge, shrinking at most one term by one.
     """
     g = instance.graph
-    maps = []
-    for r in instance.robots:
-        if r.goal is None:
-            maps.append(None)
-            continue
-        dmap = {r.goal: 0}
-        queue = deque([r.goal])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in dmap:
-                    dmap[u] = dmap[v] + 1
-                    queue.append(u)
-        maps.append(dmap)
-    return maps
+    zeros = [0] * g.n
+    return [
+        zeros if r.goal is None else bfs_distances(g, r.goal)
+        for r in instance.robots
+    ]
 
 
 def _dijkstra(instance, successors, limits, budget):
-    """Shared search core; successors(state) yields (next, weight, steps).
+    """Shared search core; successors(state) yields (next, weight, steps, moved).
 
     steps is the per-step state expansion recorded for reconstruction.
     Runs A* on remaining goal distances (exact: the bound is consistent
     even for restricted successor graphs, whose moves are a subset of the
-    base graph's).  Returns (goal_state, dist, parents, expanded) with
+    base graph's).  A successor's bound is its parent's, f - g of the
+    popped entry, plus the distance change of each robot in moved.  The
+    unreachable-goal test runs once, at the start: robots move only along
+    edges, so none ever leaves its start's component and the None entries
+    of the distance lists are never read afterwards.  A state is a goal
+    exactly when its bound is 0.  One table maps each reached state to
+    (g, parent, steps).  Returns (goal_state, g, table, expanded) with
     goal_state None when the search space is exhausted.
     """
-    dmaps = _goal_distance_maps(instance)
-
-    def remaining(state):
-        total = 0
-        for pos, dmap in zip(state, dmaps):
-            if dmap is None:
-                continue
-            here = dmap.get(pos)
-            if here is None:
-                return None  # goal unreachable even ignoring other robots
-            total += here
-        return total
-
+    dists = _goal_distances(instance)
     start = tuple(r.start for r in instance.robots)
-    h0 = remaining(start)
-    if h0 is None:
-        return None, None, {start: (None, None)}, 0
-    dist = {start: 0}
-    parents = {start: (None, None)}
-    heap = [(h0, 0, start)]
+    table = {start: (0, None, None)}
+    if any(d[v] is None for d, v in zip(dists, start)):
+        return None, None, table, 0  # a goal is cut off even with no other robot
+    heap = [(sum(d[v] for d, v in zip(dists, start)), 0, start)]
+    max_states = limits.max_states
     expanded = 0
     while heap:
-        f, d, state = heapq.heappop(heap)
-        if d > dist.get(state, -1):
+        f, g, state = heapq.heappop(heap)
+        if g > table[state][0]:
             continue
-        if _goal_reached(instance, state):
-            return state, d, parents, expanded
+        h = f - g
+        if h == 0:
+            return state, g, table, expanded
         expanded += 1
-        if expanded > limits.max_states:
-            return "limit", None, parents, expanded
-        for nxt, weight, steps in successors(state):
-            nd = d + weight
-            if nxt in dist and nd >= dist[nxt]:
+        if expanded > max_states:
+            return "limit", None, table, expanded
+        for nxt, weight, steps, moved in successors(state):
+            ng = g + weight
+            seen = table.get(nxt)
+            if seen is not None and ng >= seen[0]:
                 continue
-            h = remaining(nxt)
-            if h is None:
+            nh = h
+            for i in moved:
+                d = dists[i]
+                nh += d[nxt[i]] - d[state[i]]
+            if budget is not None and ng + nh > budget:
                 continue
-            if budget is not None and nd + h > budget:
-                continue
-            dist[nxt] = nd
-            parents[nxt] = (state, steps)
-            heapq.heappush(heap, (nd + h, nd, nxt))
-    return None, None, parents, expanded
+            table[nxt] = (ng, state, steps)
+            heapq.heappush(heap, (ng + nh, ng, nxt))
+    return None, None, table, expanded
 
 
 def _feasibility_scan(instance, successors, limits) -> str:
@@ -255,7 +267,7 @@ def _feasibility_scan(instance, successors, limits) -> str:
         expanded += 1
         if expanded > limits.max_states:
             return "state-limit"
-        for nxt, _, _ in successors(state):
+        for nxt, _, _, _ in successors(state):
             if nxt in seen:
                 continue
             if _goal_reached(instance, nxt):
@@ -271,13 +283,13 @@ def _solve(instance: Instance, successors, limits: Limits) -> SearchResult:
     ):
         return _trivial_result(instance)
     budget = instance.budget
-    goal_state, d, parents, expanded = _dijkstra(
+    goal_state, d, table, expanded = _dijkstra(
         instance, successors, limits, budget
     )
     if goal_state == "limit":
         return SearchResult("state-limit", states_expanded=expanded)
     if goal_state is not None:
-        sched = _reconstruct(instance, parents, goal_state)
+        sched = _reconstruct(instance, table, goal_state)
         return SearchResult("optimal", d, sched, expanded)
     if budget is None:
         return SearchResult("infeasible", states_expanded=expanded)
@@ -430,6 +442,6 @@ def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchRe
                     steps.append(
                         state[:i] + (step_vertex,) + state[i + 1 :]
                     )
-                yield steps[-1], weight, steps
+                yield steps[-1], weight, steps, (i,)
 
     return _solve(instance, gen, limits)

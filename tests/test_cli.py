@@ -122,6 +122,23 @@ def test_solve_twdp_summary(tmp_path, capsys):
     assert code == 3 and "input error" in err
 
 
+def test_twdp_options_rejected_for_other_algorithms(tmp_path, capsys):
+    inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
+    missing = str(tmp_path / "missing.td")
+    for alg in ("oracle", "critical", "gcmp1", "approx"):
+        for extra in (("--td-file", missing), ("--visit-cap", "99"),
+                      ("--checkpoint-budget", "8")):
+            code, out, err = run(capsys, "solve", "--alg", alg, "-i", inst,
+                                 *extra)
+            assert code == 3, (alg, extra)
+            assert out == "" and f"{extra[0]} applies only to --alg twdp" in err
+    # twdp itself takes all three.
+    code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst,
+                       "--visit-cap", "3", "--checkpoint-budget", "8")
+    assert code == 0
+    assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
+
+
 def test_solve_state_cap_exit_4(tmp_path, capsys):
     inst = _file(tmp_path, "p4.gcmp", P4_ONE_MOVER)
     code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", inst,

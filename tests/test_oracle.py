@@ -5,9 +5,18 @@ import random
 
 import pytest
 
-from coordmp.core import Graph, InputError, Instance, Robot, validate_schedule
+from coordmp.core import (
+    Graph,
+    InputError,
+    Instance,
+    Robot,
+    render_schedule,
+    validate_schedule,
+)
+from coordmp.generators import cycle_graph, generate, grid_graph
 from coordmp.oracle import (
     Limits,
+    _successors,
     check_feasible,
     critical_vertices,
     default_limits,
@@ -16,7 +25,11 @@ from coordmp.oracle import (
     solve_restricted,
 )
 
-from _reference import brute_force_feasible, brute_force_optimum
+from _reference import (
+    brute_force_feasible,
+    brute_force_optimum,
+    legal_parallel_steps,
+)
 
 
 def path_instance(n, robots, budget=None):
@@ -275,3 +288,211 @@ def test_critical_corridor_with_pockets():
     assert res.status == "optimal"
     assert (res.status, res.energy) == (ref.status, ref.energy)
     assert validate_schedule(inst, res.schedule).ok
+
+
+# ---------------------------------------------------------------------------
+# successor generator against the brute-force step enumeration
+# ---------------------------------------------------------------------------
+
+
+def _rotates_one_cycle(state, nxt, movers):
+    """Whether the movers each step into another mover's vertex, as one cycle."""
+    owner = {state[i]: i for i in movers}
+    if len(movers) < 3 or any(nxt[i] not in owner for i in movers):
+        return False
+    i, length = movers[0], 0
+    while True:
+        i = owner[nxt[i]]
+        length += 1
+        if i == movers[0]:
+            return length == len(movers)
+
+
+def _property_graphs():
+    rng = random.Random(17)
+    graphs = [cycle_graph(n) for n in range(3, 7)]
+    graphs.append(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+    graphs += [grid_graph(3, 3), grid_graph(4, 2)]
+    graphs += [random_connected_graph(rng, rng.randrange(4, 9)) for _ in range(6)]
+    return graphs
+
+
+def test_successors_are_legal_steps_and_cover_rotations():
+    rng = random.Random(11)
+    checked_rotations = 0
+    for graph in _property_graphs():
+        for _ in range(20):
+            k = rng.randrange(1, min(graph.n, 5) + 1)
+            state = tuple(rng.sample(range(graph.n), k))
+            domains = None
+            if rng.random() < 0.5:
+                domains = tuple(
+                    frozenset(rng.sample(range(graph.n), rng.randrange(graph.n)))
+                    | {v}
+                    for v in state
+                )
+            legal = dict(legal_parallel_steps(graph, state))
+            got = list(_successors(graph, domains, state))
+            counts = {}
+            for nxt, weight, steps, moved in got:
+                assert legal.get(nxt) == weight, (state, nxt)
+                assert steps == (nxt,)
+                changed = tuple(i for i in range(k) if nxt[i] != state[i])
+                assert sorted(moved) == list(changed), (state, nxt, moved)
+                if domains is not None:
+                    assert all(nxt[i] in domains[i] for i in moved)
+                counts[nxt] = counts.get(nxt, 0) + 1
+            for nxt, weight in legal.items():
+                if domains is not None and any(
+                    nxt[i] not in domains[i] for i in range(k)
+                ):
+                    continue
+                movers = [i for i in range(k) if nxt[i] != state[i]]
+                if weight == 1 or _rotates_one_cycle(state, nxt, movers):
+                    checked_rotations += weight > 1
+                    assert counts.get(nxt) == 1, (graph, state, nxt)
+    assert checked_rotations >= 50
+
+
+def test_rotation_order_pinned():
+    # Rotations come in the order of the cycle DFS over robot indices
+    # (ascending neighbours), each cycle forward then backward; the
+    # breadth-first feasibility scan depends on this order.
+    k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    grid_state = (4, 0, 1, 3, 5, 2, 7, 8)
+    cases = [
+        (
+            k4,
+            (2, 0, 3, 1),
+            [(0, 2, 3), (0, 2, 1, 3), (0, 1, 3), (0, 1, 3, 2), (0, 1, 2),
+             (0, 1, 2, 3), (1, 2, 3)],
+        ),
+        (
+            grid_graph(3, 3),
+            grid_state,
+            [(0, 4, 7, 6), (0, 3, 1, 2, 5, 4), (0, 3, 1, 2, 5, 4, 7, 6),
+             (0, 2, 5, 4), (0, 2, 5, 4, 7, 6), (0, 2, 1, 3)],
+        ),
+    ]
+    for graph, state, cycles in cases:
+        rotations = [
+            moved for _, weight, _, moved in _successors(graph, None, state)
+            if weight > 1
+        ]
+        assert rotations == [c for c in cycles for _ in (1, -1)]
+    grid_rotations = [
+        nxt for nxt, weight, _, _ in _successors(grid_graph(3, 3), None, grid_state)
+        if weight > 1
+    ]
+    assert grid_rotations[:4] == [
+        (5, 0, 1, 3, 8, 2, 4, 7),
+        (7, 0, 1, 3, 4, 2, 8, 5),
+        (3, 1, 2, 0, 4, 5, 7, 8),
+        (5, 3, 0, 4, 2, 1, 7, 8),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# expansion order: states, energies and schedules pinned from the
+# remaining()-based search, which the incremental bound must reproduce
+# ---------------------------------------------------------------------------
+
+PINNED_GRID_RUNS = [
+    (
+        dict(robots=5, free_robots=0, seed=3),
+        6029,
+        17,
+        """sched 5 17
+robot 0: 7 7 7 7 7 7 7 7 7 7 7 7 7 7 8 9 14 19
+robot 1: 18 18 17 16 15 15 15 15 15 15 15 15 15 15 15 15 15 15
+robot 2: 17 22 22 22 22 21 20 20 20 20 20 20 20 20 20 20 20 20
+robot 3: 4 4 4 4 4 4 4 3 3 3 3 8 13 18 18 18 18 18
+robot 4: 11 11 11 11 11 11 11 11 6 1 2 2 2 2 2 2 2 2
+""",
+    ),
+    (
+        dict(robots=6, free_robots=1, seed=5),
+        675,
+        13,
+        """sched 6 13
+robot 0: 19 14 14 14 14 14 14 14 14 14 14 14 14 14
+robot 1: 8 8 7 7 7 7 7 7 7 7 7 7 7 7
+robot 2: 11 11 11 11 11 11 10 10 10 10 10 10 15 20
+robot 3: 20 20 20 15 10 5 5 6 1 1 1 1 1 1
+robot 4: 16 16 16 16 16 16 16 16 16 11 6 5 5 5
+robot 5: 0 0 0 0 0 0 0 0 0 0 0 0 0 0
+""",
+    ),
+    (
+        dict(robots=6, free_robots=2, seed=6),
+        2452,
+        17,
+        """sched 6 17
+robot 0: 18 13 13 8 3 3 3 3 3 3 3 3 3 3 3 3 3 4
+robot 1: 2 2 2 2 2 2 2 7 6 6 6 6 6 6 11 16 21 21
+robot 2: 15 15 15 15 15 15 15 15 15 15 16 16 17 18 18 18 18 18
+robot 3: 8 8 7 7 7 6 5 5 5 10 10 15 15 15 15 15 15 15
+robot 4: 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1
+robot 5: 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
+""",
+    ),
+]
+
+
+def _assert_pinned_run(inst, res, states, energy, schedule):
+    assert (res.status, res.states_expanded, res.energy) == (
+        "optimal",
+        states,
+        energy,
+    )
+    assert render_schedule(res.schedule) == schedule
+    assert validate_schedule(inst, res.schedule).ok
+
+
+@pytest.mark.parametrize("params,states,energy,schedule", PINNED_GRID_RUNS)
+def test_grid_expansion_order_pinned(params, states, energy, schedule):
+    inst = generate("grid", width=5, height=5, **params)
+    _assert_pinned_run(inst, solve_exact(inst), states, energy, schedule)
+
+
+def test_two_component_expansion_order_pinned():
+    # A 2x3 grid holding the movers, plus a 4-cycle whose free robot never
+    # moves: its distance list is all zeros, and the movers' lists hold
+    # None on the cycle.
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    edges += [(6, 7), (7, 8), (8, 9), (9, 6)]
+    robots = (
+        Robot(0, 0, 5),
+        Robot(1, 5, 0),
+        Robot(2, 1, None),
+        Robot(3, 7, None),
+        Robot(4, 4, 3),
+    )
+    inst = Instance(Graph(10, edges), robots)
+    schedule = """sched 5 10
+robot 0: 0 0 0 0 1 1 4 4 4 4 5
+robot 1: 5 2 2 2 2 2 2 1 0 0 0
+robot 2: 1 1 1 4 4 5 5 5 5 2 2
+robot 3: 7 7 7 7 7 7 7 7 7 7 7
+robot 4: 4 4 3 3 3 3 3 3 3 3 3
+"""
+    _assert_pinned_run(inst, solve_exact(inst), 225, 10, schedule)
+
+
+def test_critical_corridor_expansion_order_pinned():
+    # Two triangle pockets joined by a 12-edge corridor whose interior
+    # (vertices 6..11) is compressed into transit moves; the last step
+    # rotates the far triangle.
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    edges += [(3 + i, 4 + i) for i in range(12)]
+    edges += [(15, 16), (16, 17), (17, 15)]
+    inst = Instance(
+        Graph(18, edges), (Robot(0, 0, 16), Robot(1, 1, 17), Robot(2, 16, None))
+    )
+    assert set(range(18)) - critical_vertices(inst) == set(range(6, 12))
+    schedule = """sched 3 30
+robot 0: 0 2 3 3 4 4 5 5 6 7 8 9 10 11 12 12 13 14 14 14 14 14 14 14 14 14 15 15 17 17 16
+robot 1: 1 1 1 2 2 3 3 4 4 4 4 4 4 4 4 5 5 5 6 7 8 9 10 11 12 13 13 14 14 15 17
+robot 2: 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 15
+"""
+    _assert_pinned_run(inst, solve_critical(inst), 363, 32, schedule)
