@@ -14,6 +14,7 @@ Three entry points:
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -147,6 +148,74 @@ def _steps_to_schedule(instance: Instance, steps) -> Schedule:
         for rid, row in rows.items():
             row.append(moved.get(rid, row[-1]))
     return Schedule(tuple(Route(tuple(rows[r.id])) for r in instance.robots))
+
+
+def _runs(positions):
+    """Maximal stays on one vertex, as ``[vertex, first time, last time]``."""
+    runs = []
+    for t, v in enumerate(positions):
+        if runs and runs[-1][0] == v:
+            runs[-1][2] = t
+        else:
+            runs.append([v, t, t])
+    return runs
+
+
+def _cut_loops(instance: Instance, schedule: Schedule) -> Schedule:
+    """Cut returns to a vertex that nobody else used meanwhile.
+
+    A robot at vertex p at times t1 < t2 waits at p throughout when no other
+    robot is at p in [t1, t2]; a free robot waits at p from t1 to the end
+    when no other robot is at p after t1.  The robot stands still in the
+    cut interval and p is free there, so neither a vertex nor a swap
+    conflict arises, and the other robots only find vertices vacated.  Cuts
+    repeat until none applies, so the energy never rises; steps in which
+    nobody moves are then dropped.
+    """
+    horizon = schedule.horizon
+    runs = [_runs(route.positions) for route in schedule.routes]
+    changed = True
+    while changed:
+        changed = False
+        for i, robot in enumerate(instance.robots):
+            foreign: dict[int, list[int]] = {}
+            for j, other in enumerate(runs):
+                if j != i:
+                    for v, s, _ in other:
+                        foreign.setdefault(v, []).append(s)
+            for starts in foreign.values():
+                starts.sort()
+            mine = runs[i]
+            own: dict[int, list[int]] = {}
+            for a, (v, _, _) in enumerate(mine):
+                own.setdefault(v, []).append(a)
+            cut = []
+            a = 0
+            while a < len(mine):
+                v, s, _ = mine[a]
+                starts = foreign.get(v, [])
+                nxt = bisect_right(starts, s)
+                if nxt == len(starts) and robot.goal is None:
+                    cut.append([v, s, horizon])
+                    changed |= a < len(mine) - 1
+                    break
+                block = starts[nxt] if nxt < len(starts) else horizon + 1
+                b = max(x for x in own[v] if mine[x][1] < block)
+                cut.append([v, s, mine[b][2]])
+                changed |= b > a
+                a = b + 1
+            runs[i] = cut
+    times = sorted({s for rs in runs for _, s, _ in rs})
+    routes = []
+    for rs in runs:
+        row = []
+        r = 0
+        for t in times:
+            while rs[r][2] < t:
+                r += 1
+            row.append(rs[r][0])
+        routes.append(Route(tuple(row)))
+    return Schedule(tuple(routes))
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +421,23 @@ class _Pipeline:
         return self.fallback()
 
     def fallback(self):
-        """Blocked routing: discard the prefix, solve the component exactly."""
+        """Blocked routing: discard the prefix, decide, solve exactly.
+
+        The feasibility scan runs first: it settles infeasible components
+        and needs far less memory than the exact search to reach the cap.
+        """
         inst = Instance(self.graph, self.robots)
+        verdict = check_feasible(inst, self.limits)
+        if verdict == "infeasible":
+            raise InfeasibleError("component goals are unreachable")
+        if verdict == "state-limit":
+            raise LimitError(
+                "constructive routing was blocked and the feasibility check "
+                "exceeded the state limit"
+            )
         result = solve_exact(inst, self.limits)
         if result.status == "optimal":
             return _schedule_to_steps(result.schedule, self.robots)
-        if result.status == "infeasible":
-            raise InfeasibleError("component goals are unreachable")
         raise LimitError(
             "constructive routing was blocked and the exact completion "
             "exceeded the state limit"
@@ -443,15 +522,25 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
 
     Robots are parked in pairwise-disjoint havens near their starts, then
     destination-bearing robots walk to their goals one at a time, crossing
-    occupied havens via bounded internal rearrangements; blocked routings
-    degrade to exact search.  The result carries the schedule, its energy
-    and the distance lower bound; its status is ok (within the instance
-    budget, or no budget), budget-exceeded (the lower bound exceeds the
-    budget) or budget-limited (undecided).  Raises InfeasibleError for
-    unreachable goals, LimitError when the feasibility precheck or an exact
-    fallback hits the state cap, and UnsupportedStructureError when some
-    robot endpoint has no nice vertex within ``NICE_RADIUS_FACTOR * k`` and
-    the exact fallback is out of reach.
+    occupied havens via bounded internal rearrangements.  Feasibility is
+    decided only when this construction cannot finish: a blocked routing
+    runs the feasibility check, then the exact search, on its component.
+    Returns to a vertex that no other robot used in between are then cut
+    from the built schedule (see ``_cut_loops``), which only lowers its
+    energy.  The result carries the schedule, its energy and the distance
+    lower bound; its status is ok (within the instance budget, or no
+    budget), budget-exceeded (the lower bound exceeds the budget) or
+    budget-limited (undecided).
+
+    Raises InfeasibleError when a goal is cut off from its start, or when
+    a blocked routing's feasibility check, or the exact search of a
+    component with no haven cover, finds the goals unreachable.  Raises
+    LimitError when a blocked routing's feasibility check or exact search
+    hits the state cap, or when a haven swap's exact fallback hits its own
+    cap (``havenswap.DEFAULT_SEARCH_CAP``).  Raises
+    UnsupportedStructureError when some robot endpoint has no nice vertex
+    within ``NICE_RADIUS_FACTOR * k`` and the exact fallback is out of
+    reach; such a component is not checked for feasibility.
     """
     limits = limits or default_limits()
     lower_bound = 0
@@ -462,11 +551,6 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
                 f"robot {r.id}: goal {r.goal} unreachable from start {r.start}"
             )
         lower_bound += d
-    verdict = check_feasible(instance, limits)
-    if verdict == "infeasible":
-        raise InfeasibleError("no schedule reaches the goal configuration")
-    if verdict == "state-limit":
-        raise LimitError("feasibility precheck exceeded the state limit")
     if all(r.start == r.goal for r in instance.movers):
         return _report(
             instance,
@@ -489,7 +573,8 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
         if not any(r.goal is not None and r.goal != r.start for r in robots):
             continue
         steps.extend(_solve_component(instance.graph, robots, limits))
-    return _report(instance, _steps_to_schedule(instance, steps), lower_bound)
+    schedule = _cut_loops(instance, _steps_to_schedule(instance, steps))
+    return _report(instance, schedule, lower_bound)
 
 
 # ---------------------------------------------------------------------------

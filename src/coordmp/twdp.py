@@ -971,7 +971,7 @@ def solve_twdp(
     )
     if budget < 2:
         raise InputError("checkpoint budget must be at least 2")
-    rho = _upper_bound(instance)
+    rho = _upper_bound(instance, limits)
     pairs_budget = budget // 2
     exterior_of = {
         nid: frozenset(
@@ -1053,11 +1053,11 @@ def solve_twdp(
     return SearchResult("budget-limited", value, None, states)
 
 
-def _upper_bound(instance: Instance) -> int:
+def _upper_bound(instance: Instance, limits: Limits) -> int:
     from coordmp.approx import approximate
 
     try:
-        return approximate(instance).energy
+        return approximate(instance, limits).energy
     except (InfeasibleError, LimitError, UnsupportedStructureError):
         return _default_rho(instance)
 

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+import coordmp.approx
 from coordmp.approx import (
     RestrictionResult,
+    _cut_loops,
+    _Pipeline,
     approximate,
     energy_ball_restrict,
     route_through_havens,
@@ -17,14 +20,16 @@ from coordmp.core import (
     InfeasibleError,
     InputError,
     Instance,
+    LimitError,
     Robot,
     Route,
     Schedule,
     UnsupportedStructureError,
     validate_schedule,
 )
+from coordmp.generators import generate
 from coordmp.havenswap import apply_steps
-from coordmp.oracle import Limits, solve_exact
+from coordmp.oracle import Limits, check_feasible, solve_exact
 from coordmp.structure import is_nice
 
 
@@ -192,6 +197,137 @@ def test_approximate_random_sandwich(capsys):
             f"\n[approx] sandwich held on {checked} instances "
             f"({infeasible} infeasible); worst (energy-opt)/k^5 = {worst:.3f}"
         )
+
+
+def test_approximate_builds_without_feasibility_check(monkeypatch):
+    def refuse(instance, limits=None):
+        raise AssertionError("feasibility check on an unblocked construction")
+
+    monkeypatch.setattr(coordmp.approx, "check_feasible", refuse)
+    inst = generate("grid", width=5, height=5, robots=4, seed=1)
+    rep = approximate(inst, Limits(max_states=10_000))
+    assert rep.status == "ok"
+    assert validate_schedule(inst, rep.schedule).ok
+
+
+def test_blocked_construction_decides_feasibility(monkeypatch):
+    verdicts = []
+
+    def spy(instance, limits=None):
+        verdicts.append(check_feasible(instance, limits))
+        return verdicts[-1]
+
+    monkeypatch.setattr(coordmp.approx, "check_feasible", spy)
+    # The haven routing blocks here; the feasibility check runs, then the
+    # exact search completes the schedule, or the check hits a tiny cap.
+    inst = generate("random", n=8, edge_prob=0.3, robots=3, seed=5)
+    rep = approximate(inst)
+    assert verdicts == ["feasible"]
+    assert rep.status == "ok" and validate_schedule(inst, rep.schedule).ok
+    with pytest.raises(LimitError):
+        approximate(inst, Limits(max_states=5))
+    assert verdicts[-1] == "state-limit"
+    # Goals that no schedule reaches: blocked routing reports infeasible.
+    swap = Instance(path_graph(3), (Robot(0, 0, 2), Robot(1, 2, 0)))
+    with pytest.raises(InfeasibleError):
+        _Pipeline(swap.graph, swap.robots, [], Limits()).fallback()
+    assert verdicts[-1] == "infeasible"
+    # A tree with no haven near its endpoints: the exact fallback decides.
+    tree = generate("random-tree", n=7, robots=3, seed=3)
+    assert check_feasible(tree) == "infeasible"
+    with pytest.raises(InfeasibleError):
+        approximate(tree)
+
+
+def test_approximate_infeasible_agreement():
+    infeasible = 0
+    for kind, size in (
+        ("random-tree", dict(n=7)),
+        ("random", dict(n=8, edge_prob=0.3)),
+        ("grid", dict(width=3, height=3)),
+    ):
+        for k in (2, 3, 4):
+            for seed in range(8):
+                inst = generate(kind, robots=k, seed=seed, **size)
+                verdict = check_feasible(inst)
+                try:
+                    rep = approximate(inst)
+                except InfeasibleError:
+                    assert verdict == "infeasible", (kind, k, seed)
+                    infeasible += 1
+                    continue
+                assert verdict == "feasible", (kind, k, seed)
+                assert validate_schedule(inst, rep.schedule).ok
+    assert infeasible >= 5
+
+
+# ---------------------------------------------------------------------------
+# loop cutting
+
+
+def schedule_of(*rows):
+    return Schedule(tuple(Route(tuple(row)) for row in rows))
+
+
+def test_cut_loops_keeps_validity_and_never_adds_energy(monkeypatch):
+    instances = [
+        generate(kind, robots=k, seed=seed, **size)
+        for kind, size in (
+            ("grid", dict(width=4, height=4)),
+            ("random", dict(n=12, edge_prob=0.25)),
+            ("random-tree", dict(n=12)),
+        )
+        for k in (2, 3)
+        for seed in range(6)
+    ]
+    built = []
+    monkeypatch.setattr(coordmp.approx, "_cut_loops", lambda inst, s: s)
+    for inst in instances:
+        try:
+            built.append((inst, approximate(inst).schedule))
+        except (InfeasibleError, UnsupportedStructureError):
+            continue
+    monkeypatch.undo()
+    saved = 0
+    for inst, uncut in built:
+        cut = _cut_loops(inst, uncut)
+        check = validate_schedule(inst, cut)
+        assert check.ok, check.violation
+        assert check.energy <= uncut.energy
+        for robot, route in zip(inst.robots, cut.routes):
+            assert route.positions[0] == robot.start
+            if robot.goal is not None:
+                assert route.positions[-1] == robot.goal
+        assert approximate(inst).schedule == cut
+        saved += uncut.energy - check.energy
+    assert len(built) >= 24 and saved > 0
+
+
+def test_cut_loops_removes_a_needless_detour():
+    # A path 0-1-2-3-4 with a pocket 5 off vertex 1.
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    inst = Instance(g, (Robot(0, 1, 1), Robot(1, 3, 4)))
+    # Robot 0 steps into the pocket and back although nobody passes.
+    cut = _cut_loops(inst, schedule_of([1, 5, 5, 1], [3, 3, 4, 4]))
+    assert cut == schedule_of([1, 1], [3, 4])
+    assert validate_schedule(inst, cut).energy == 1
+    # Robot 1 crossing vertex 1 in between makes the detour necessary.
+    inst = Instance(g, (Robot(0, 1, 1), Robot(1, 0, 2)))
+    rows = schedule_of([1, 5, 5, 5, 1], [0, 0, 1, 2, 2])
+    assert _cut_loops(inst, rows) == rows
+
+
+def test_cut_loops_drops_a_free_robots_tail():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # The free robot 1 makes room at 2 that robot 0 never takes.
+    inst = Instance(g, (Robot(0, 0, 1), Robot(1, 2, None)))
+    cut = _cut_loops(inst, schedule_of([0, 0, 1], [2, 3, 3]))
+    assert cut == schedule_of([0, 1], [2, 2])
+    # A goal-bearing robot keeps its last move to the goal.
+    inst = Instance(g, (Robot(0, 0, 1), Robot(1, 2, 3)))
+    assert _cut_loops(inst, schedule_of([0, 0, 1], [2, 3, 3])) == schedule_of(
+        [0, 0, 1], [2, 3, 3]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coordmp.core import Graph, InputError, Instance, LimitError, Robot
-from coordmp.oracle import solve_exact
+from coordmp.oracle import Limits, solve_exact
 from coordmp.twdp import (
     DOWN,
     UP,
@@ -313,6 +313,25 @@ def test_solve_trivial_all_home():
     assert res.status == "optimal"
     assert res.energy == 0
     assert res.schedule is not None and res.schedule.horizon == 0
+
+
+def test_upper_bound_runs_under_callers_limits(monkeypatch):
+    import coordmp.approx
+
+    seen = []
+    real = coordmp.approx.approximate
+
+    def spy(instance, limits=None):
+        seen.append(limits)
+        return real(instance, limits)
+
+    monkeypatch.setattr(coordmp.approx, "approximate", spy)
+    limits = Limits(max_states=5_000)
+    g = star_graph(4)
+    res = solve_twdp(Instance(g, (Robot(0, 1, 2), Robot(1, 0, None))), 12,
+                     limits=limits)
+    assert res.status == "optimal" and res.energy == 3
+    assert seen == [limits]
 
 
 def test_solve_rejects_tiny_checkpoint_budget():
