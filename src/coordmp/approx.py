@@ -15,8 +15,8 @@ Three entry points:
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from coordmp.core import (
     Graph,
@@ -31,6 +31,8 @@ from coordmp.core import (
     bfs_distances,
     connected_components,
     induced_subgraph,
+    layers,
+    path_avoiding,
     shortest_path,
     shortest_path_distance,
     validate_schedule,
@@ -80,65 +82,15 @@ class RestrictionResult:
 # path and haven-discovery helpers
 
 
-def _path_avoiding(graph, source, targets, banned):
-    """Shortest path from source to any target avoiding banned vertices."""
-    if source in targets:
-        return [source]
-    parent = {source: source}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in graph.neighbors(a):
-            if b in parent or b in banned:
-                continue
-            parent[b] = a
-            if b in targets:
-                path = [b]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(b)
-    return None
-
-
 def _nearest_nice(graph, v, k, radius, cache):
     """Nearest nice vertex within the radius (ties to the lowest id)."""
-    seen = {v}
-    layer = [v]
-    for _ in range(radius + 1):
-        if not layer:
-            break
-        for u in sorted(layer):
+    for layer in layers(graph, (v,), radius):
+        for u in layer:
             if u not in cache:
                 cache[u] = is_nice(graph, u, k)
             if cache[u] is not None:
                 return u
-        grown = []
-        for u in layer:
-            for w in graph.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    grown.append(w)
-        layer = grown
     return None
-
-
-def _nearest_vertices(graph, start, count):
-    """The closest ``count`` vertices to start, by (distance, id)."""
-    out = []
-    seen = {start}
-    layer = [start]
-    while layer and len(out) < count:
-        out.extend(sorted(layer))
-        grown = []
-        for u in layer:
-            for w in graph.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    grown.append(w)
-        layer = grown
-    return frozenset(out[:count])
 
 
 def _steps_to_schedule(instance: Instance, steps) -> Schedule:
@@ -282,6 +234,7 @@ class _Pipeline:
             haven,
             HavenConfiguration(haven, parts),
             HavenConfiguration(haven, to),
+            self.limits,
         )
         self.steps.extend(moves)
         for rid, v in to.items():
@@ -345,7 +298,7 @@ class _Pipeline:
         reachable_targets = set(targets) - banned
         if not reachable_targets:
             return False
-        path = _path_avoiding(self.graph, self.pos[rid], reachable_targets, banned)
+        path = path_avoiding(self.graph, self.pos[rid], reachable_targets, banned)
         if path is None:
             return False
         try:
@@ -465,7 +418,7 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
             break
         centers[v] = c
     if offender is not None:
-        return _degenerate_component(graph, robots, offender, k, limits)
+        return _degenerate_component(graph, robots, offender, k, limits, cache)
     havens = []
     used: set[int] = set()
     for c in sorted(set(centers.values())):
@@ -477,7 +430,7 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
     return _Pipeline(graph, robots, havens, limits).run()
 
 
-def _degenerate_component(graph, robots, offender, k, limits) -> list[MoveStep]:
+def _degenerate_component(graph, robots, offender, k, limits, cache) -> list[MoveStep]:
     """No haven cover: fall back to the exact corridor-compressed search."""
     inst = Instance(graph, robots)
     critical = critical_vertices(inst)
@@ -488,7 +441,7 @@ def _degenerate_component(graph, robots, offender, k, limits) -> list[MoveStep]:
             return _schedule_to_steps(result.schedule, robots)
         if result.status == "infeasible":
             raise InfeasibleError("component goals are unreachable")
-    tag = classify_vertex(graph, offender, k)
+    tag = classify_vertex(graph, offender, k, nice_cache=cache)
     err = UnsupportedStructureError(
         f"vertex {offender} is farther than {NICE_RADIUS_FACTOR}*k from every "
         f"nice vertex (classified {tag.kind}) and the exact fallback is out "
@@ -535,9 +488,8 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
     Raises InfeasibleError when a goal is cut off from its start, or when
     a blocked routing's feasibility check, or the exact search of a
     component with no haven cover, finds the goals unreachable.  Raises
-    LimitError when a blocked routing's feasibility check or exact search
-    hits the state cap, or when a haven swap's exact fallback hits its own
-    cap (``havenswap.DEFAULT_SEARCH_CAP``).  Raises
+    LimitError when a blocked routing's feasibility check or exact search,
+    or a haven swap's exact fallback, hits the state cap.  Raises
     UnsupportedStructureError when some robot endpoint has no nice vertex
     within ``NICE_RADIUS_FACTOR * k`` and the exact fallback is out of
     reach; such a component is not checked for feasibility.
@@ -582,7 +534,9 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
 
 
 def _pocket_domain(graph, start, k):
-    return _nearest_vertices(graph, start, POCKET_DOMAIN_FACTOR * k)
+    """The closest ``9k`` vertices to start, by (distance, id)."""
+    ordered = chain.from_iterable(layers(graph, (start,)))
+    return frozenset(islice(ordered, POCKET_DOMAIN_FACTOR * k))
 
 
 def solve_gcmp1(instance: Instance, limits: Limits | None = None) -> SearchResult:

@@ -6,6 +6,13 @@ the same vertex and no two robots traverse the same edge in opposite
 directions (following a robot that vacates a vertex in the same step is
 legal).  Energy counts moving steps only; waiting is free.
 
+Graph traversal lives here too, and every solver breaks ties the same way:
+neighbor lists are ascending, ``layers`` lists each breadth-first layer in
+ascending id order (so whole searches run in (distance, id) order), and
+``path_avoiding`` returns the first target a breadth-first search over
+ascending neighbors reaches.  Which haven center, pocket or route a solver
+picks follows from these rules.
+
 This module also owns the line-oriented text formats for instances and
 schedules, which are bit-exact under parse/render round-trips on canonical
 files.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 
 class InputError(ValueError):
@@ -300,47 +308,81 @@ def shortest_path_distance(graph: Graph, u: int, v: int) -> int | None:
     return bfs_distances(graph, u)[v]
 
 
+def layers(graph: Graph, sources, radius: int | None = None, within=None):
+    """Breadth-first layers around ``sources``, each an ascending vertex list.
+
+    Layer d holds the vertices at distance d from the nearest source, so the
+    layers chained together list vertices in (distance, id) order.  The walk
+    stops after layer ``radius`` (unbounded when None) and only enters
+    vertices of ``within`` (every vertex when None).  Layers are built on
+    demand: a caller that stops early does no further work.
+    """
+    seen = set(sources)
+    layer = sorted(seen)
+    d = 0
+    while layer:
+        yield layer
+        if d == radius:
+            return
+        d += 1
+        grown = []
+        for u in layer:
+            for w in graph.neighbors(u):
+                if w not in seen and (within is None or w in within):
+                    seen.add(w)
+                    grown.append(w)
+        grown.sort()
+        layer = grown
+
+
+def path_avoiding(graph: Graph, source: int, targets, banned) -> list[int] | None:
+    """Shortest path from source to any target avoiding banned vertices.
+
+    Breadth-first over ascending neighbor lists: a vertex's parent is the
+    first dequeued vertex that reaches it, and the first target reached
+    wins.  None when no target is reachable.
+    """
+    if source in targets:
+        return [source]
+    parent = {source: source}
+    queue = deque([source])
+    while queue:
+        a = queue.popleft()
+        for b in graph.neighbors(a):
+            if b in parent or b in banned:
+                continue
+            parent[b] = a
+            if b in targets:
+                path = [b]
+                while path[-1] != source:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            queue.append(b)
+    return None
+
+
 def shortest_path(graph: Graph, u: int, v: int) -> list[int] | None:
     """One shortest path from u to v (lowest-id tie-breaking), or None."""
     if not (0 <= u < graph.n and 0 <= v < graph.n):
         raise InputError("vertex out of range")
-    if u == v:
-        return [u]
-    parent: dict[int, int] = {u: u}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for b in graph.neighbors(a):
-            if b not in parent:
-                parent[b] = a
-                if b == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(b)
-    return None
+    return path_avoiding(graph, u, {v}, ())
 
 
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    seen = [False] * graph.n
+def connected_components(graph: Graph, vertices=None) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by least vertex.
+
+    With ``vertices`` given, the components of the subgraph they induce.
+    """
+    within = None if vertices is None else frozenset(vertices)
+    seen: set[int] = set()
     comps = []
-    for s in range(graph.n):
-        if seen[s]:
+    for s in range(graph.n) if within is None else sorted(within):
+        if s in seen:
             continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
+        comp = sorted(chain.from_iterable(layers(graph, (s,), within=within)))
+        seen.update(comp)
+        comps.append(comp)
     return comps
 
 

@@ -22,13 +22,8 @@ from .core import (
     Schedule,
     validate_schedule,
 )
-from .oracle import Limits, solve_restricted
+from .oracle import Limits, default_limits, solve_restricted
 from .structure import Haven, check_haven
-
-# State cap for the exact fallback searches on the haven's configuration
-# graph (only reached in rare placements the incremental procedure cannot
-# finish; the configuration space is tiny for the k values in scope).
-DEFAULT_SEARCH_CAP = 2_000_000
 
 MoveStep = tuple[tuple[int, int, int], ...]
 
@@ -173,13 +168,12 @@ def _config_search(
     robot_ids: list[int],
     start: dict[int, int],
     target: dict[int, int],
-    cap: int,
+    limits: Limits,
 ) -> list[MoveStep]:
     """Minimum-energy steps between two placements, confined to the haven."""
     robots = tuple(Robot(r, start[r], target[r]) for r in sorted(robot_ids))
-    result = solve_restricted(
-        Instance(graph, robots), [members] * len(robots), Limits(max_states=cap)
-    )
+    domains = [members] * len(robots)
+    result = solve_restricted(Instance(graph, robots), domains, limits)
     if result.status != "optimal":
         raise LimitError(f"haven reconfiguration fallback: {result.status}")
     return _schedule_to_steps(result.schedule, robots)
@@ -190,7 +184,7 @@ def swap(
     haven: Haven,
     from_config: HavenConfiguration,
     to_config: HavenConfiguration,
-    search_cap: int = DEFAULT_SEARCH_CAP,
+    limits: Limits | None = None,
 ) -> list[MoveStep]:
     """Move steps taking ``from_config`` to ``to_config`` inside the haven.
 
@@ -205,7 +199,9 @@ def swap(
     neighbor, (3) deliver robots destined inside the first witness set, then
     place center/spare-destined robots.  Placements the incremental phases
     cannot finish (delivered robots walling off a path) are completed by an
-    exact minimum-move search on the haven's configuration graph.
+    exact minimum-move search on the haven's configuration graph, under
+    ``limits`` (``default_limits()`` when None); LimitError when it hits
+    the state cap.
     """
     check_haven(graph, haven)
     if from_config.haven != haven or to_config.haven != haven:
@@ -215,6 +211,7 @@ def swap(
     if from_config.placement == to_config.placement:
         return []
 
+    limits = limits or default_limits()
     c1, c2, _ = haven.witnesses
     w = haven.center
     x = haven.x
@@ -226,7 +223,7 @@ def swap(
 
     def fallback() -> list[MoveStep]:
         tail = _config_search(
-            graph, haven.members, robot_ids, state.pos, target, search_cap
+            graph, haven.members, robot_ids, state.pos, target, limits
         )
         return state.steps + tail
 

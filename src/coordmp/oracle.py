@@ -26,6 +26,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from coordmp.core import (
     Graph,
@@ -35,6 +36,7 @@ from coordmp.core import (
     Route,
     Schedule,
     bfs_distances,
+    layers,
     shortest_path_distance,
 )
 
@@ -375,17 +377,7 @@ def critical_vertices(instance: Instance) -> frozenset[int]:
         seeds.add(r.start)
         if r.goal is not None:
             seeds.add(r.goal)
-    dist = {v: 0 for v in seeds}
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        if dist[u] == k:
-            continue
-        for v in g.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return frozenset(dist)
+    return frozenset(chain.from_iterable(layers(g, seeds, k)))
 
 
 def _transit_edges(graph: Graph, critical: frozenset[int]):

@@ -11,14 +11,15 @@ the connected component containing it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     Graph,
     InputError,
     Instance,
     connected_components,
+    layers,
 )
 
 # Constants hidden inside the asymptotic bounds of the motion-domain
@@ -167,17 +168,7 @@ def _connected_sets_with(graph: Graph, root: int, size: int, banned):
 
 def _haven_members(graph: Graph, center: int, universe: frozenset[int], k: int) -> frozenset[int]:
     """Vertices within distance k of ``center`` inside ``universe``."""
-    dist = {center: 0}
-    frontier = deque((center,))
-    while frontier:
-        u = frontier.popleft()
-        if dist[u] == k:
-            continue
-        for nb in graph.neighbors(u):
-            if nb in universe and nb not in dist:
-                dist[nb] = dist[u] + 1
-                frontier.append(nb)
-    return frozenset(dist)
+    return frozenset(chain.from_iterable(layers(graph, (center,), k, universe)))
 
 
 def _make_haven(graph: Graph, center: int, c1: frozenset, c2: frozenset, x: int, k: int) -> Haven:
@@ -250,16 +241,8 @@ def check_haven(graph: Graph, haven: Haven) -> None:
 def _is_connected_within(graph: Graph, vertices: frozenset[int]) -> bool:
     if not vertices:
         return False
-    start = next(iter(vertices))
-    seen = {start}
-    frontier = deque((start,))
-    while frontier:
-        u = frontier.popleft()
-        for nb in graph.neighbors(u):
-            if nb in vertices and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == len(vertices)
+    reached = layers(graph, (next(iter(vertices)),), within=vertices)
+    return sum(map(len, reached)) == len(vertices)
 
 
 def find_all_nice(graph: Graph, k: int) -> dict[int, Haven]:
@@ -313,58 +296,6 @@ def two_path_around(graph: Graph, v: int) -> TwoPath:
     return TwoPath(path=tuple(path), attachments=atts, degenerate_cycle=False)
 
 
-def _component_of(graph: Graph, v: int) -> frozenset[int]:
-    seen = {v}
-    frontier = deque((v,))
-    while frontier:
-        u = frontier.popleft()
-        for nb in graph.neighbors(u):
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return frozenset(seen)
-
-
-def _components_without(graph: Graph, component: frozenset[int], removed) -> list[frozenset[int]]:
-    """Connected components of ``component`` minus ``removed``."""
-    removed = set(removed)
-    remaining = set(component) - removed
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        frontier = deque((start,))
-        while frontier:
-            u = frontier.popleft()
-            for nb in graph.neighbors(u):
-                if nb in remaining and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        comps.append(frozenset(seen))
-        remaining -= seen
-    return comps
-
-
-def _ball(graph: Graph, v: int, radius: int) -> list[int]:
-    """Vertices within ``radius`` of v, in (distance, id) order."""
-    dist = {v: 0}
-    order = [v]
-    frontier = [v]
-    d = 0
-    while frontier and d < radius:
-        d += 1
-        nxt = set()
-        for u in frontier:
-            for nb in graph.neighbors(u):
-                if nb not in dist:
-                    nxt.add(nb)
-        frontier = sorted(nxt)
-        for u in frontier:
-            dist[u] = d
-        order.extend(frontier)
-    return order
-
-
 def classify_vertex(
     graph: Graph,
     v: int,
@@ -394,19 +325,8 @@ def classify_vertex(
         return VertexTypeTag(kind="nice", haven=own)
 
     # type1: a nice vertex within distance 3k (nearest first, lowest id).
-    dist = {v: 0}
-    frontier = [v]
-    d = 0
-    while frontier and d < 3 * k:
-        d += 1
-        nxt = set()
-        for u in frontier:
-            for nb in graph.neighbors(u):
-                if nb not in dist:
-                    nxt.add(nb)
-        frontier = sorted(nxt)
-        for u in frontier:
-            dist[u] = d
+    for d, layer in enumerate(layers(graph, (v,), 3 * k)):
+        for u in layer:
             if nice(u) is not None:
                 return VertexTypeTag(kind="type1", witness=u, distance=d)
 
@@ -421,8 +341,13 @@ def classify_vertex(
     # type3: v on a degree-2 path, or inside a pocket of <= 8k vertices cut
     # off by one, with a nice vertex at the far attachment.  All relevant
     # structure touches the ball of radius 8k + 1 around v.
-    component = _component_of(graph, v)
-    ball = _ball(graph, v, 8 * k + 1)
+    component = frozenset(chain.from_iterable(layers(graph, (v,))))
+    ball = list(chain.from_iterable(layers(graph, (v,), 8 * k + 1)))
+
+    def components_without(removed):
+        rest = component.difference(removed)
+        return [frozenset(c) for c in connected_components(graph, rest)]
+
     candidates = []
     seen_path_vertices = set()
     for u in ball:
@@ -435,7 +360,7 @@ def classify_vertex(
         a1, a2 = tp.attachments
         if a1 == a2:
             continue
-        comps = _components_without(graph, component, tp.path)
+        comps = components_without(tp.path)
         comp_of = {}
         for comp in comps:
             for w in comp:
@@ -448,7 +373,7 @@ def classify_vertex(
     for c in ball:
         if c == v or nice(c) is None:
             continue
-        comps = _components_without(graph, component, (c,))
+        comps = components_without((c,))
         if len(comps) < 2:
             continue
         for q in comps:
@@ -486,7 +411,7 @@ def classify_vertex(
         seen_path_vertices.update(tp.path)
         if tp.degenerate_cycle:
             continue
-        comps = _components_without(graph, component, tp.path)
+        comps = components_without(tp.path)
         if len(comps) <= 2 and all(len(c) <= 8 * k for c in comps):
             type4.append((-len(tp.path), tp.path, comps))
     if type4:
@@ -535,11 +460,10 @@ def compute_motion_domain(
     depth = c2 * (lam * k + k**4)
     threshold = c1 * k**4 + k + 1
 
-    applicable = False
-    for u in _ball(graph, start, lam):
-        if is_nice(graph, u, k) is not None:
-            applicable = True
-            break
+    applicable = any(
+        is_nice(graph, u, k) is not None
+        for u in chain.from_iterable(layers(graph, (start,), lam))
+    )
     if not applicable:
         return MotionDomain(
             robot=robot,

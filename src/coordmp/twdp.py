@@ -938,7 +938,6 @@ def solve_twdp(
     limits: Limits | None = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
     certify: bool = True,
-    audit: bool = False,
 ) -> SearchResult:
     """Energy optimum via the checkpoint-sequence dynamic program.
 
@@ -1026,8 +1025,6 @@ def solve_twdp(
         return table
 
     root_table = compute(td.root)
-    if audit:
-        _audit(td, instance, budget, rho, visit_cap, entry_cap, root_table)
     finite = [
         value for seq, value in root_table.entries.items() if not _has_up(seq)
     ]
@@ -1060,25 +1057,3 @@ def _upper_bound(instance: Instance, limits: Limits) -> int:
         return approximate(instance, limits).energy
     except (InfeasibleError, LimitError, UnsupportedStructureError):
         return _default_rho(instance)
-
-
-def _audit(td, instance, budget, rho, visit_cap, entry_cap, root_table):
-    """Re-derive leaf entries and recompute the pipeline deterministically."""
-    g = instance.graph
-    for node in td.nodes.values():
-        if node.kind != "leaf":
-            continue
-        leaf = dp_leaf(
-            node, instance, budget, rho=rho, visit_cap=visit_cap, entry_cap=entry_cap
-        )
-        for seq, value in leaf.entries.items():
-            if not is_good_sequence(seq, node.bag, g, instance):
-                raise RuntimeError("audit: leaf entry fails the signature checks")
-            recount = sum(
-                1
-                for a, b in seq
-                for j in range(instance.k)
-                if a[j] != b[j] and not _is_symbol(a[j]) and not _is_symbol(b[j])
-            )
-            if recount != value:
-                raise RuntimeError("audit: leaf entry value mismatch on replay")

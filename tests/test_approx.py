@@ -6,6 +6,7 @@ import random
 import pytest
 
 import coordmp.approx
+import coordmp.havenswap
 from coordmp.approx import (
     RestrictionResult,
     _cut_loops,
@@ -237,6 +238,25 @@ def test_blocked_construction_decides_feasibility(monkeypatch):
     assert check_feasible(tree) == "infeasible"
     with pytest.raises(InfeasibleError):
         approximate(tree)
+
+
+def test_haven_swaps_run_under_callers_limits(monkeypatch):
+    caps = []
+
+    def spy(instance, domains, limits):
+        caps.append(limits.max_states)
+        return real(instance, domains, limits)
+
+    real = coordmp.havenswap.solve_restricted
+    monkeypatch.setattr(coordmp.havenswap, "solve_restricted", spy)
+    # Three of this grid's haven swaps need the exact fallback (at most
+    # 26 states each).
+    inst = generate("grid", width=4, height=4, robots=3, seed=0)
+    rep = approximate(inst, Limits(max_states=1234))
+    assert rep.status == "ok" and validate_schedule(inst, rep.schedule).ok
+    assert caps and set(caps) == {1234}
+    with pytest.raises(LimitError, match="haven reconfiguration"):
+        approximate(inst, Limits(max_states=10))
 
 
 def test_approximate_infeasible_agreement():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from coordmp.approx import _pocket_domain
 from coordmp.core import (
     ConflictReport,
     Graph,
@@ -18,18 +19,34 @@ from coordmp.core import (
     connected_components,
     energy,
     induced_subgraph,
+    layers,
     parse_instance,
     parse_schedule,
+    path_avoiding,
     render_instance,
     render_schedule,
     shortest_path,
     shortest_path_distance,
     validate_schedule,
 )
+from coordmp.structure import classify_vertex
 
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def grid_graph(width: int, height: int) -> Graph:
+    """Row-major ids: vertex r * width + c."""
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            v = r * width + c
+            if c + 1 < width:
+                edges.append((v, v + 1))
+            if r + 1 < height:
+                edges.append((v, v + width))
+    return Graph(width * height, edges)
 
 
 def test_graph_rejects_bad_edges():
@@ -161,6 +178,94 @@ def test_shortest_path_helpers():
     disconnected = Graph(4, [(0, 1), (2, 3)])
     assert shortest_path_distance(disconnected, 0, 3) is None
     assert connected_components(disconnected) == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize(
+    "graph, sources, radius, within, expected",
+    [
+        (grid_graph(3, 3), (4,), None, None, [[4], [1, 3, 5, 7], [0, 2, 6, 8]]),
+        (path_graph(7), (5, 1), None, None, [[1, 5], [0, 2, 4, 6], [3]]),
+        (grid_graph(3, 3), (4, 2), 0, None, [[2, 4]]),
+        (grid_graph(3, 3), (4,), 1, None, [[4], [1, 3, 5, 7]]),
+        (grid_graph(3, 3), (0,), None, {0, 1, 2, 5, 8}, [[0], [1], [2], [5], [8]]),
+        (grid_graph(3, 3), (0,), 2, {0, 1, 2, 5, 8}, [[0], [1], [2]]),
+        (Graph(5, [(0, 1), (0, 4), (1, 3), (4, 2)]), (0,), None, None,
+         [[0], [1, 4], [2, 3]]),
+        (Graph(4, [(0, 1), (2, 3)]), (0,), None, None, [[0], [1]]),
+        (path_graph(3), (), None, None, []),
+    ],
+    ids=["one-source", "two-sources", "radius-0", "radius-1", "within",
+         "within-radius", "ids-not-discovery-order", "component-only",
+         "no-source"],
+)
+def test_layers_distance_id_order(graph, sources, radius, within, expected):
+    assert list(layers(graph, sources, radius, within)) == expected
+
+
+def test_layers_is_lazy():
+    g = path_graph(10)
+    looked_up = []
+
+    class CountingGraph:
+        def neighbors(self, v):
+            looked_up.append(v)
+            return g.neighbors(v)
+
+    walk = layers(CountingGraph(), (0,))
+    assert next(walk) == [0]
+    assert looked_up == []
+    assert next(walk) == [1]
+    walk.close()
+    assert looked_up == [0]
+
+
+@pytest.mark.parametrize(
+    "source, targets, banned, expected",
+    [
+        (0, {8}, (), [0, 1, 2, 5, 8]),
+        (0, {8}, {1}, [0, 3, 4, 5, 8]),
+        (0, {8}, {1, 3}, None),
+        (0, {6, 2}, (), [0, 1, 2]),
+        (0, {7, 5}, {1}, [0, 3, 4, 5]),
+        (4, {4, 0}, (), [4]),
+    ],
+    ids=["lowest-id", "banned", "walled-off", "two-targets", "banned-two-targets",
+         "source-is-target"],
+)
+def test_path_avoiding(source, targets, banned, expected):
+    assert path_avoiding(grid_graph(3, 3), source, targets, banned) == expected
+
+
+@pytest.mark.parametrize(
+    "vertices, expected",
+    [
+        (None, [[0, 1, 2, 3, 4, 5, 6, 7, 8]]),
+        ({0, 2, 3, 5, 6, 8}, [[0, 3, 6], [2, 5, 8]]),
+        ([8, 4, 0], [[0], [4], [8]]),
+        ((), []),
+    ],
+    ids=["whole-graph", "two-columns", "isolated", "empty"],
+)
+def test_connected_components_of_subset(vertices, expected):
+    assert connected_components(grid_graph(3, 3), vertices) == expected
+
+
+def test_pinned_tie_breaks():
+    # 2x3 grid: three shortest 0-5 paths; the lowest-id one wins.
+    g23 = grid_graph(3, 2)
+    assert shortest_path(g23, 0, 5) == [0, 1, 2, 5]
+    assert shortest_path(g23, 5, 0) == [5, 2, 1, 0]
+    assert shortest_path(g23, 3, 2) == [3, 0, 1, 2]
+    # 4x4 grid: 9 closest vertices to 9; distance 2 ties go to ids 1, 4, 6,
+    # 11 (found in the order 1, 4, 6, 12, 11, 14).
+    assert _pocket_domain(grid_graph(4, 4), 9, 1) == {1, 4, 5, 6, 8, 9, 10, 11, 13}
+    # Degree-3 vertices 1 and 9 are nice for k=1, both at distance 2 from 5.
+    g = Graph(12, [(5, 6), (6, 9), (9, 10), (9, 11), (5, 4), (4, 1), (1, 0),
+                   (1, 2), (2, 3), (11, 7), (7, 8)])
+    tag = classify_vertex(g, 5, 1)
+    assert (tag.kind, tag.witness, tag.distance) == ("type1", 1, 2)
+    tag = classify_vertex(g, 8, 1)
+    assert (tag.kind, tag.witness, tag.distance) == ("type1", 9, 3)
 
 
 def test_induced_subgraph_maps_ids():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import coordmp.twdp
 from coordmp.core import Graph, InputError, Instance, LimitError, Robot
 from coordmp.oracle import Limits, solve_exact
 from coordmp.twdp import (
@@ -366,11 +367,41 @@ def test_solve_with_explicit_td():
         solve_twdp(inst, 8, td=wrong)
 
 
-def test_solve_audit_mode():
-    g = star_graph(4)
-    inst = Instance(g, (Robot(0, 1, 2),))
-    res = solve_twdp(inst, 10, audit=True)
-    assert res.status == "optimal" and res.energy == 2
+def test_solve_audit_mode(monkeypatch):
+    """Every leaf table a solve builds holds good sequences whose values
+    count their moves between bag vertices."""
+    built = []
+
+    def recording_leaf(node, *args, **kwargs):
+        table = real_leaf(node, *args, **kwargs)
+        built.append((node, table))
+        return table
+
+    real_leaf = coordmp.twdp.dp_leaf
+    monkeypatch.setattr(coordmp.twdp, "dp_leaf", recording_leaf)
+    cases = (
+        (star_graph(4), (Robot(0, 1, 2),), 2),
+        (path_graph(4), (Robot(0, 0, 2), Robot(1, 2, 3)), 3),
+    )
+    values = []
+    for g, robots, want in cases:
+        inst = Instance(g, robots)
+        built.clear()
+        res = solve_twdp(inst, 10)
+        assert res.status == "optimal" and res.energy == want
+        assert built
+        for node, table in built:
+            for seq, value in table.entries.items():
+                assert is_good_sequence(seq, node.bag, g, inst)
+                moves = sum(
+                    1
+                    for a, b in seq
+                    for u, v in zip(a, b)
+                    if u != v and u in node.bag and v in node.bag
+                )
+                assert value == moves
+                values.append(value)
+    assert max(values) > 0
 
 
 def test_solve_matches_oracle_on_random_instances():
