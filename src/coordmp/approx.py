@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from coordmp.core import (
-    Graph,
     InfeasibleError,
     InputError,
     Instance,
@@ -442,13 +441,12 @@ def _degenerate_component(graph, robots, offender, k, limits, cache) -> list[Mov
         if result.status == "infeasible":
             raise InfeasibleError("component goals are unreachable")
     tag = classify_vertex(graph, offender, k, nice_cache=cache)
-    err = UnsupportedStructureError(
+    raise UnsupportedStructureError(
         f"vertex {offender} is farther than {NICE_RADIUS_FACTOR}*k from every "
         f"nice vertex (classified {tag.kind}) and the exact fallback is out "
-        "of reach"
+        "of reach",
+        tag=tag,
     )
-    err.tag = tag
-    raise err
 
 
 def _report(instance, schedule, lower_bound) -> SearchResult:
@@ -625,45 +623,3 @@ def energy_ball_restrict(instance: Instance) -> RestrictionResult:
         if r.start in ball_union
     )
     return RestrictionResult(Instance(sub, kept, budget), dict(new_of_old))
-
-
-# ---------------------------------------------------------------------------
-# standalone haven-detour routing
-
-
-def route_through_havens(
-    instance: Instance, robot: int, path, havens
-) -> list[MoveStep]:
-    """Move one robot along a walk, detouring through occupied havens.
-
-    ``havens`` is an iterable of pairwise-disjoint havens; robots parked on
-    their members are shuffled internally to let the walker through and are
-    otherwise left in place.  A walk vertex occupied by a robot outside
-    every haven raises UnsupportedStructureError.
-    """
-    havens = list(havens)
-    used: set[int] = set()
-    for h in havens:
-        if h.members & used:
-            raise InputError("havens must be pairwise disjoint")
-        used |= h.members
-    matches = [r for r in instance.robots if r.id == robot]
-    if not matches:
-        raise InputError(f"unknown robot id {robot}")
-    walker = matches[0]
-    path = list(path)
-    if not path or path[0] != walker.start:
-        raise InputError("path must begin at the robot's start")
-    for v in path:
-        if not 0 <= v < instance.graph.n:
-            raise InputError(f"path vertex {v} out of range")
-    for a, b in zip(path, path[1:]):
-        if a != b and not instance.graph.has_edge(a, b):
-            raise InputError(f"path step {a}-{b} is not an edge")
-    compact = [path[0]]
-    for v in path[1:]:
-        if v != compact[-1]:
-            compact.append(v)
-    pipe = _Pipeline(instance.graph, instance.robots, havens, default_limits())
-    pipe.follow(robot, compact)
-    return pipe.steps

@@ -29,7 +29,7 @@ from coordmp.hardness import parse_mcc, reduce_mcc
 from coordmp.oracle import Limits, default_limits, solve_critical, solve_exact
 from coordmp.render import render_dot, render_frames, render_text_trace
 from coordmp.structure import ClassificationError, classify_vertex
-from coordmp.twdp import DEFAULT_VISIT_CAP, parse_td, solve_twdp
+from coordmp.twdp import parse_td, solve_twdp
 
 EXIT_OK = 0
 EXIT_OVER_BUDGET = 1
@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--state-cap", type=int, help="search state limit")
     solve.add_argument("--checkpoint-budget", type=int,
                        help="twdp only: per-node sequence length cap")
-    solve.add_argument("--visit-cap", type=int,
-                       help=f"twdp only: visits per vertex (default "
-                            f"{DEFAULT_VISIT_CAP})")
     solve.add_argument("--td-file", help="twdp only: tree decomposition file")
 
     val = sub.add_parser("validate", help="check a schedule against an instance")
@@ -122,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source problem file format")
     red.add_argument("-i", "--input", required=True)
     red.add_argument("-o", "--out", help="instance output path")
-    red.add_argument("--subdiv", type=int,
-                     help="experimental subdivision override")
 
     gen = sub.add_parser("gen", help="generate a seeded benchmark instance")
     gen.add_argument("kind", choices=KINDS)
@@ -153,7 +148,7 @@ def _summary(alg: str, energy, status: str) -> None:
     print(f"alg={alg} energy={e} status={status}")
 
 
-_TWDP_OPTIONS = ("checkpoint_budget", "visit_cap", "td_file")
+_TWDP_OPTIONS = ("checkpoint_budget", "td_file")
 
 
 def _cmd_solve(args) -> int:
@@ -167,10 +162,8 @@ def _cmd_solve(args) -> int:
     try:
         if args.alg == "twdp":
             td = None if args.td_file is None else parse_td(_read(args.td_file))
-            visit_cap = (DEFAULT_VISIT_CAP if args.visit_cap is None
-                         else args.visit_cap)
-            result = solve_twdp(instance, args.checkpoint_budget,
-                                visit_cap=visit_cap, td=td, limits=limits)
+            result = solve_twdp(instance, args.checkpoint_budget, td=td,
+                                limits=limits)
         else:
             result = _SOLVERS[args.alg](instance, limits)
     except InfeasibleError as exc:
@@ -247,11 +240,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_reduce(args) -> int:
     mcg = parse_mcc(_read(args.input))
-    red = reduce_mcc(mcg, args.subdiv)
-    if args.subdiv is not None:
-        print("note: experimental subdivision override; the yes/no "
-              "equivalence is only guaranteed at the default length",
-              file=sys.stderr)
+    red = reduce_mcc(mcg)
     inst = red.instance
     print(f"reduce kappa={red.kappa} n={inst.graph.n} robots={inst.k} "
           f"budget={inst.budget} subdivision={red.subdivision}")

@@ -22,6 +22,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from coordmp.structure import VertexTypeTag
 
 
 class InputError(ValueError):
@@ -37,9 +41,12 @@ class InfeasibleError(RuntimeError):
 
 
 class UnsupportedStructureError(RuntimeError):
-    """The instance falls outside the structural preconditions of a solver."""
+    """The instance falls outside the structural preconditions of a solver.
 
-    def __init__(self, message: str, tag: str | None = None):
+    ``tag``, when set, classifies the vertex that fell outside them.
+    """
+
+    def __init__(self, message: str, tag: VertexTypeTag | None = None):
         super().__init__(message)
         self.tag = tag
 
@@ -104,10 +111,6 @@ class Robot:
     id: int
     start: int
     goal: int | None = None
-
-    @property
-    def is_mover(self) -> bool:
-        return self.goal is not None
 
 
 @dataclass(frozen=True)

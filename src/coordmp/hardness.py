@@ -133,11 +133,17 @@ def _pairs(kappa: int):
     return [(i, j) for i in range(1, kappa + 1) for j in range(i + 1, kappa + 1)]
 
 
-def _build(mcg: MulticoloredGraph, subdivision_override: int | None) -> Reduction:
+def reduce_mcc(mcg: MulticoloredGraph) -> Reduction:
+    """Build the planning instance whose budget certifies a κ-clique.
+
+    Every original vertex carries a blocking robot with start = goal; one
+    courier robot per part pair runs from its source hub to its sink hub.
+    Each edge becomes a corridor of ``d = κ³`` subdivision vertices; at
+    this length the budget ``2κ + C(κ,2)·(d+3)`` can be met if and only if
+    the graph has a clique with one vertex per part.
+    """
     kappa = mcg.kappa
-    if subdivision_override is not None and subdivision_override < 1:
-        raise InputError("subdivision override must be at least 1")
-    d = subdivision_override if subdivision_override is not None else kappa**3
+    d = kappa**3
     names: dict[str, int] = {}
 
     def add(name: str) -> int:
@@ -176,26 +182,7 @@ def _build(mcg: MulticoloredGraph, subdivision_override: int | None) -> Reductio
     return Reduction(instance, names, kappa, d)
 
 
-def reduce_mcc(
-    mcg: MulticoloredGraph, subdivision_override: int | None = None
-) -> Reduction:
-    """Build the planning instance whose budget certifies a κ-clique.
-
-    Every original vertex carries a blocking robot with start = goal; one
-    courier robot per part pair runs from its source hub to its sink hub.
-    The budget is ``2κ + C(κ,2)·(d+3)`` with ``d`` the per-edge subdivision
-    count (``κ³`` by default).  Overriding the subdivision below the
-    default is an experimental desk-scale device: the yes⇔yes equivalence
-    is guaranteed only at the default length.
-    """
-    return _build(mcg, subdivision_override)
-
-
-def witness_schedule(
-    mcg: MulticoloredGraph,
-    clique,
-    subdivision_override: int | None = None,
-) -> Schedule:
+def witness_schedule(mcg: MulticoloredGraph, clique) -> Schedule:
     """Budget-exact schedule from a multicolored clique, fully serialized.
 
     Phase one parks each clique vertex's blocking robot on its pendant;
@@ -218,7 +205,7 @@ def witness_schedule(
         u, v = w[i - 1], w[j - 1]
         if (u, v) not in mcg.edges:
             raise InputError(f"clique is missing edge {u}-{v}")
-    red = _build(mcg, subdivision_override)
+    red = reduce_mcc(mcg)
     names, d = red.names, red.subdivision
     positions = [r.start for r in red.instance.robots]
     robot_at = {r.start: r.id for r in red.instance.robots}

@@ -23,10 +23,9 @@ from .core import (
 )
 
 # Constants hidden inside the asymptotic bounds of the motion-domain
-# construction.  They are configurable per call and recorded in every
-# MotionDomain so downstream comparisons can see exactly what was used.
-DEFAULT_C1 = 1
-DEFAULT_C2 = 2
+# construction: C1 scales the degree threshold, C2 the search depth.
+C1 = 1
+C2 = 2
 
 
 class ClassificationError(RuntimeError):
@@ -109,18 +108,16 @@ class MotionDomain:
     ``applicable`` is False when the robot's start is not within ``lam`` of a
     nice vertex; in that case ``vertices`` falls back to the full vertex set.
     ``depth`` and ``degree_threshold`` record the bounds actually used:
-    the search runs to depth ``c2 * (lam * k + k**4)`` and does not expand
-    through vertices of degree >= ``c1 * k**4 + k + 1`` (except the start
+    the search runs to depth ``C2 * (lam * k + k**4)`` and does not expand
+    through vertices of degree >= ``C1 * k**4 + k + 1`` (except the start
     itself), but pads each such retained vertex with its
-    ``c1 * k**4 + k + 1`` lowest-id neighbors.
+    ``C1 * k**4 + k + 1`` lowest-id neighbors.
     """
 
     robot: int
     vertices: frozenset[int]
     applicable: bool
     lam: int
-    c1: int
-    c2: int
     depth: int
     degree_threshold: int
 
@@ -243,17 +240,6 @@ def _is_connected_within(graph: Graph, vertices: frozenset[int]) -> bool:
         return False
     reached = layers(graph, (next(iter(vertices)),), within=vertices)
     return sum(map(len, reached)) == len(vertices)
-
-
-def find_all_nice(graph: Graph, k: int) -> dict[int, Haven]:
-    """Map each nice vertex to a witness Haven (non-nice vertices absent)."""
-    _check_k(k)
-    result = {}
-    for v in range(graph.n):
-        haven = is_nice(graph, v, k)
-        if haven is not None:
-            result[v] = haven
-    return result
 
 
 def two_path_around(graph: Graph, v: int) -> TwoPath:
@@ -430,35 +416,27 @@ def classify_vertex(
     )
 
 
-def compute_motion_domain(
-    instance: Instance,
-    robot: int,
-    lam: int,
-    c1: int = DEFAULT_C1,
-    c2: int = DEFAULT_C2,
-) -> MotionDomain:
+def compute_motion_domain(instance: Instance, robot: int, lam: int) -> MotionDomain:
     """Truncated breadth-first domain for the robot with id ``robot``.
 
-    The search from the robot's start runs to depth ``c2 * (lam*k + k**4)``
-    and never expands through a vertex of degree >= ``c1*k**4 + k + 1``
+    The search from the robot's start runs to depth ``C2 * (lam*k + k**4)``
+    and never expands through a vertex of degree >= ``C1*k**4 + k + 1``
     (the start itself always expands so the domain is never a singleton by
     accident); each retained high-degree vertex is padded with its
-    ``c1*k**4 + k + 1`` lowest-id neighbors.  When no nice vertex lies
+    ``C1*k**4 + k + 1`` lowest-id neighbors.  When no nice vertex lies
     within ``lam`` of the start the result is flagged not applicable and
     falls back to the full vertex set.
     """
     if lam < 0:
         raise InputError("lam must be nonnegative")
-    if c1 < 1 or c2 < 1:
-        raise InputError("constants c1 and c2 must be at least 1")
     matches = [r for r in instance.robots if r.id == robot]
     if not matches:
         raise InputError(f"no robot with id {robot}")
     start = matches[0].start
     graph = instance.graph
     k = instance.k
-    depth = c2 * (lam * k + k**4)
-    threshold = c1 * k**4 + k + 1
+    depth = C2 * (lam * k + k**4)
+    threshold = C1 * k**4 + k + 1
 
     applicable = any(
         is_nice(graph, u, k) is not None
@@ -470,8 +448,6 @@ def compute_motion_domain(
             vertices=frozenset(range(graph.n)),
             applicable=False,
             lam=lam,
-            c1=c1,
-            c2=c2,
             depth=depth,
             degree_threshold=threshold,
         )
@@ -499,8 +475,6 @@ def compute_motion_domain(
         vertices=frozenset(domain),
         applicable=True,
         lam=lam,
-        c1=c1,
-        c2=c2,
         depth=depth,
         degree_threshold=threshold,
     )

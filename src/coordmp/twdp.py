@@ -42,7 +42,7 @@ DOWN = -2
 
 # Enumeration throttles: per-robot visit/exit caps inside one sequence and
 # a cap on generated table entries (LimitError beyond it).
-DEFAULT_VISIT_CAP = 2
+VISIT_CAP = 2
 DEFAULT_ENTRY_CAP = 200_000
 # Exact elimination search is limited to this many vertices.
 TD_EXACT_LIMIT = 13
@@ -414,11 +414,6 @@ def _check_shape(seq, bag, k) -> None:
                     raise InputError(f"symbol {c!r} is not a bag vertex")
 
 
-def _pair_changes(pair):
-    a, b = pair
-    return [j for j in range(len(a)) if a[j] != b[j]]
-
-
 def _is_checkpoint_pair(pair, bag) -> bool:
     a, b = pair
     return any(
@@ -512,7 +507,6 @@ def is_good_sequence(seq, bag, graph: Graph, instance: Instance) -> bool:
 class DPTable:
     """Finite checkpoint-sequence entries for one node; absent = sentinel."""
 
-    node: int
     rho: int
     entries: dict = field(default_factory=dict)
 
@@ -547,10 +541,9 @@ def dp_leaf(
     instance: Instance,
     budget: int,
     *,
-    rho: int | None = None,
-    visit_cap: int = DEFAULT_VISIT_CAP,
+    rho: int,
+    exterior: frozenset[int],
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    exterior: frozenset[int] | None = None,
 ) -> DPTable:
     """Brute-force table for a leaf: its bag is the whole visible subgraph.
 
@@ -558,11 +551,10 @@ def dp_leaf(
     steps among bag vertices (plus vanish/reappear at the boundary), so
     the stored value simply counts the bag-internal moves of the chain.
     ``budget`` counts configuration tuples, so ``budget // 2`` chained
-    pairs are explored.  ``exterior``, when given, limits vanishing and
-    reappearing to bag vertices that actually have a neighbor outside the
-    node's subtree (a crossing must use a real edge).
+    pairs are explored.  ``exterior`` names the vertices with a neighbor
+    outside the node's subtree: vanishing and reappearing happen only at
+    bag vertices among them (a crossing must use a real edge).
     """
-    rho = _default_rho(instance) if rho is None else rho
     bag = node.bag
     g = instance.graph
     k = instance.k
@@ -572,10 +564,10 @@ def dp_leaf(
     pairs_max = max(0, budget // 2)
     bag_sorted = sorted(bag)
     adj = {v: [u for u in g.neighbors(v) if u in bag] for v in bag_sorted}
-    portals = bag if exterior is None else frozenset(bag & exterior)
+    portals = bag & exterior
     portal_sorted = sorted(portals)
     start = tuple(r.start for r in instance.robots)
-    table = DPTable(node.id, rho)
+    table = DPTable(rho)
     counter = [0]
 
     def successors(cur):
@@ -636,7 +628,7 @@ def dp_leaf(
                     continue
                 if nxt[j] == UP:
                     cnt = exits.get(j, 0) + 1
-                    if cnt > visit_cap:
+                    if cnt > VISIT_CAP:
                         feasible = False
                         break
                     if new_exits is None:
@@ -645,7 +637,7 @@ def dp_leaf(
                 else:
                     key = (j, nxt[j])
                     cnt = visits.get(key, 0) + 1
-                    if cnt > visit_cap:
+                    if cnt > VISIT_CAP:
                         feasible = False
                         break
                     if new_visits is None:
@@ -694,7 +686,7 @@ def dp_forget(
     discarded.
     """
     v = node.vertex
-    table = DPTable(node.id, child_table.rho)
+    table = DPTable(child_table.rho)
     g = instance.graph
     for seq, value in child_table.entries.items():
         proj = _project_forget(seq, v)
@@ -711,10 +703,9 @@ def dp_introduce(
     child_table: DPTable,
     *,
     instance: Instance,
-    budget: int | None = None,
-    visit_cap: int = DEFAULT_VISIT_CAP,
+    budget: int,
+    exterior: frozenset[int],
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    exterior: frozenset[int] | None = None,
 ) -> DPTable:
     """Introduce-node table: weave visits of the new vertex into child entries.
 
@@ -722,9 +713,9 @@ def dp_introduce(
     a robot can only reach it from a bag neighbor (a visible move, which
     adds one to the entry value) or from outside the subtree (free here,
     paid where that move becomes visible).  Robots parked on the new
-    vertex ride existing checkpoints unchanged.  ``exterior``, when given,
-    names the vertices with a neighbor outside the node's subtree; the
-    new vertex can then host arrivals from above only if it is one.
+    vertex ride existing checkpoints unchanged.  ``exterior`` names the
+    vertices with a neighbor outside the node's subtree; the new vertex
+    hosts arrivals from above only if it is one.
     """
     v = node.vertex
     bag = node.bag
@@ -732,9 +723,9 @@ def dp_introduce(
     k = instance.k
     rho = child_table.rho
     vn = frozenset(u for u in g.neighbors(v) if u in bag)
-    v_portal = exterior is None or v in exterior
-    pairs_max = None if budget is None else max(0, budget // 2)
-    table = DPTable(node.id, rho)
+    v_portal = v in exterior
+    pairs_max = max(0, budget // 2)
+    table = DPTable(rho)
     counter = [0]
 
     def bump():
@@ -754,7 +745,7 @@ def dp_introduce(
 
         def lift(idx, cur, at_v, chain, mu, visits):
             bump()
-            if pairs_max is not None and len(chain) > pairs_max:
+            if len(chain) > pairs_max:
                 return
             if value + mu > rho:
                 return
@@ -766,7 +757,7 @@ def dp_introduce(
             if at_v is None:
                 if v_portal:
                     for i in range(k):
-                        if cur[i] != UP or visits[i] >= visit_cap:
+                        if cur[i] != UP or visits[i] >= VISIT_CAP:
                             continue
                         nxt = cur[:i] + (v,) + cur[i + 1 :]
                         chain.append((cur, nxt))
@@ -796,12 +787,12 @@ def dp_introduce(
                     if at_v == i:
                         if bi in vn:
                             opts.append((bi, 1))
-                    elif exterior is None or bi in exterior:
+                    elif bi in exterior:
                         opts.append((bi, 0))
                 elif b[i] == UP:
-                    if exterior is None or a[i] in exterior:
+                    if a[i] in exterior:
                         opts.append((UP, 0))
-                    if at_v is None and a[i] in vn and visits[i] < visit_cap:
+                    if at_v is None and a[i] in vn and visits[i] < VISIT_CAP:
                         opts.append((v, 1))
                 else:
                     opts.append((bi, 0))
@@ -877,7 +868,7 @@ def dp_join(
     right_table: DPTable,
     *,
     instance: Instance,
-    exterior: frozenset[int] | None = None,
+    exterior: frozenset[int],
 ) -> DPTable:
     """Join-node table: combine sibling entries checkpoint for checkpoint.
 
@@ -885,12 +876,12 @@ def dp_join(
     checkpoint of the combined view; sequences therefore merge pairwise,
     with DOWN meaning "in exactly one child's interior".  Moves between
     two bag vertices were paid in both children and are refunded once.
-    ``exterior``, when given, prunes merged sequences that cross between a
-    bag vertex and the outside where no such crossing edge remains.
+    ``exterior`` prunes merged sequences that cross between a bag vertex
+    and the outside where no such crossing edge remains.
     """
     g = instance.graph
     k = instance.k
-    table = DPTable(node.id, min(left_table.rho, right_table.rho))
+    table = DPTable(min(left_table.rho, right_table.rho))
     by_len: dict[int, list] = {}
     for s2, h2 in right_table.entries.items():
         by_len.setdefault(len(s2), []).append((s2, h2))
@@ -899,9 +890,7 @@ def dp_join(
             merged = _zip_merge(s1, s2, k)
             if merged is None:
                 continue
-            if exterior is not None and _crosses_outside_non_portal(
-                merged, k, exterior
-            ):
+            if _crosses_outside_non_portal(merged, k, exterior):
                 continue
             mu = 0
             for a, b in merged:
@@ -933,20 +922,18 @@ def solve_twdp(
     instance: Instance,
     checkpoint_budget: int | None = None,
     *,
-    visit_cap: int = DEFAULT_VISIT_CAP,
     td: NiceTreeDecomposition | None = None,
     limits: Limits | None = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    certify: bool = True,
 ) -> SearchResult:
     """Energy optimum via the checkpoint-sequence dynamic program.
 
     ``checkpoint_budget`` caps the tuple length of every per-node sequence
-    (default ``2k(w+1)·min(visit_cap, 8)``).  The returned status is
-    ``optimal`` only when an independent exact run confirms the value (or
-    the instance is trivial); otherwise ``budget-limited`` admits that a
-    larger budget might find a cheaper schedule.  With a budget present on
-    the instance, a confirmed value above it reports ``budget-exceeded``.
+    (default ``4k(w+1)``).  The returned status is ``optimal`` only when an
+    independent exact run confirms the value (or the instance is trivial);
+    otherwise ``budget-limited`` admits that a larger budget might find a
+    cheaper schedule.  With a budget present on the instance, a confirmed
+    value above it reports ``budget-exceeded``.
     """
     limits = limits or default_limits()
     if instance.k == 0 or all(
@@ -961,12 +948,10 @@ def solve_twdp(
         td = build_nice_td(instance.graph, terminals)
     else:
         validate_td(td, instance.graph, terminals)
-    w = td.width
-    k = instance.k
     budget = (
         checkpoint_budget
         if checkpoint_budget is not None
-        else 2 * k * (w + 1) * min(visit_cap, 8)
+        else 4 * instance.k * (td.width + 1)
     )
     if budget < 2:
         raise InputError("checkpoint budget must be at least 2")
@@ -980,19 +965,24 @@ def solve_twdp(
         )
         for nid in td.nodes
     }
+    # Every leaf has the terminal set as its bag and as its whole subtree,
+    # so every leaf has the same table; it is built once per solve.
+    leaf_table: DPTable | None = None
 
     def compute(nid: int) -> DPTable:
+        nonlocal leaf_table
         node = td.nodes[nid]
         if node.kind == "leaf":
-            table = dp_leaf(
-                node,
-                instance,
-                budget,
-                rho=rho,
-                visit_cap=visit_cap,
-                entry_cap=entry_cap,
-                exterior=exterior_of[nid],
-            )
+            if leaf_table is None:
+                leaf_table = dp_leaf(
+                    node,
+                    instance,
+                    budget,
+                    rho=rho,
+                    exterior=exterior_of[nid],
+                    entry_cap=entry_cap,
+                )
+            table = leaf_table
         elif node.kind == "introduce":
             child = compute(node.children[0])
             table = dp_introduce(
@@ -1000,9 +990,8 @@ def solve_twdp(
                 child,
                 instance=instance,
                 budget=budget,
-                visit_cap=visit_cap,
-                entry_cap=entry_cap,
                 exterior=exterior_of[nid],
+                entry_cap=entry_cap,
             )
         elif node.kind == "forget":
             child = compute(node.children[0])
@@ -1030,20 +1019,11 @@ def solve_twdp(
     ]
     value = min(finite) if finite else None
     states = len(root_table.entries)
-    reference = None
-    if certify:
-        unbudgeted = Instance(instance.graph, instance.robots)
-        reference = solve_exact(unbudgeted, limits)
+    reference = solve_exact(Instance(instance.graph, instance.robots), limits)
     if value is None:
-        if reference is not None and reference.status == "infeasible":
-            return SearchResult("infeasible", None, None, states)
-        return SearchResult("budget-limited", None, None, states)
-    certified = (
-        reference is not None
-        and reference.status == "optimal"
-        and reference.energy == value
-    )
-    if certified:
+        status = "infeasible" if reference.status == "infeasible" else "budget-limited"
+        return SearchResult(status, None, None, states)
+    if reference.status == "optimal" and reference.energy == value:
         if instance.budget is not None and value > instance.budget:
             return SearchResult("budget-exceeded", value, None, states)
         return SearchResult("optimal", value, None, states)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from itertools import combinations, product
 
-from coordmp.core import Graph, Instance, Route, Schedule
+from coordmp.core import Graph, InputError, Instance, Route, Schedule
 
 
 def legal_parallel_steps(graph: Graph, state: tuple[int, ...]):
@@ -146,3 +146,30 @@ def brute_force_feasible(instance: Instance, cap: int = 2_000_000) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+def apply_steps(positions: dict[int, int], steps) -> dict[int, int]:
+    """Replay move steps over a placement, validating each move."""
+    pos = dict(positions)
+    occ = {v: r for r, v in pos.items()}
+    if len(occ) != len(pos):
+        raise InputError("placement is not injective")
+    for step in steps:
+        vacated = set()
+        entered = {}
+        for robot, u, v in step:
+            if pos.get(robot) != u:
+                raise InputError(f"robot {robot} is not at {u}")
+            vacated.add(u)
+            if v in entered:
+                raise InputError(f"two robots moved to {v}")
+            entered[v] = robot
+        for v, robot in entered.items():
+            if v in occ and v not in vacated:
+                raise InputError(f"vertex {v} is occupied")
+        for robot, u, v in step:
+            del occ[u]
+        for v, robot in entered.items():
+            occ[v] = robot
+            pos[robot] = v
+    return pos

@@ -13,7 +13,6 @@ from coordmp.approx import (
     _Pipeline,
     approximate,
     energy_ball_restrict,
-    route_through_havens,
     solve_gcmp1,
 )
 from coordmp.core import (
@@ -29,9 +28,10 @@ from coordmp.core import (
     validate_schedule,
 )
 from coordmp.generators import generate
-from coordmp.havenswap import apply_steps
 from coordmp.oracle import Limits, check_feasible, solve_exact
 from coordmp.structure import is_nice
+
+from _reference import apply_steps
 
 
 def path_graph(n):
@@ -483,7 +483,14 @@ def test_ball_preserves_answer_randomized():
 
 
 # ---------------------------------------------------------------------------
-# route_through_havens
+# haven-detour routing (_Pipeline.follow)
+
+
+def follow(instance, robot, path, havens):
+    """The steps the pipeline emits walking ``robot`` along ``path``."""
+    pipe = _Pipeline(instance.graph, instance.robots, havens, Limits())
+    pipe.follow(robot, path)
+    return pipe.steps
 
 
 def replay(instance, steps, walker, expected_end):
@@ -509,7 +516,7 @@ def replay(instance, steps, walker, expected_end):
 def test_route_plain_path_costs_path_length():
     g = path_graph(6)
     inst = Instance(g, (Robot(0, 0, None),))
-    steps = route_through_havens(inst, 0, [0, 1, 2, 3, 4, 5], [])
+    steps = follow(inst, 0, [0, 1, 2, 3, 4, 5], [])
     assert len(steps) == 5
     assert all(len(s) == 1 for s in steps)
     replay(inst, steps, 0, 5)
@@ -522,7 +529,7 @@ def test_route_crossing_occupied_haven():
     # Robot 1 is parked inside the right-hand haven; robot 0 crosses it.
     inst = Instance(g, (Robot(0, 7, None), Robot(1, 11, None)))
     path = [7, 8, 9, 10, 11, 12]
-    steps = route_through_havens(inst, 0, path, [haven])
+    steps = follow(inst, 0, path, [haven])
     final = replay(inst, steps, 0, 12)
     assert final[1] in haven.members
     assert sum(len(s) for s in steps) <= len(path) + 20 * 2**3
@@ -533,7 +540,7 @@ def test_route_start_inside_haven_swaps_to_exit():
     haven = is_nice(g, 0, 2)
     inst = Instance(g, (Robot(0, 1, None), Robot(1, 0, None)))
     exit_vertex = max(haven.members)
-    steps = route_through_havens(inst, 0, [1, 0, exit_vertex], [haven])
+    steps = follow(inst, 0, [1, 0, exit_vertex], [haven])
     replay(inst, steps, 0, exit_vertex)
 
 
@@ -541,18 +548,4 @@ def test_route_blocked_outside_haven():
     g = path_graph(6)
     inst = Instance(g, (Robot(0, 0, None), Robot(1, 3, None)))
     with pytest.raises(UnsupportedStructureError):
-        route_through_havens(inst, 0, [0, 1, 2, 3, 4], [])
-
-
-def test_route_rejects_bad_input():
-    g = star_graph(5)
-    haven = is_nice(g, 0, 2)
-    inst = Instance(g, (Robot(0, 1, None),))
-    with pytest.raises(InputError):
-        route_through_havens(inst, 0, [2, 0], [haven])  # wrong start
-    with pytest.raises(InputError):
-        route_through_havens(inst, 0, [1, 4], [haven])  # not a walk
-    with pytest.raises(InputError):
-        route_through_havens(inst, 0, [1, 0], [haven, haven])  # overlap
-    with pytest.raises(InputError):
-        route_through_havens(inst, 9, [1, 0], [haven])  # unknown robot
+        follow(inst, 0, [0, 1, 2, 3, 4], [])

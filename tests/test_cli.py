@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from coordmp.cli import main
+from coordmp.cli import ALGORITHMS, main
 from coordmp.core import parse_instance, parse_schedule, validate_schedule
 from coordmp.hardness import MulticoloredGraph, render_mcc
 from coordmp.twdp import build_nice_td, render_td
@@ -126,15 +126,18 @@ def test_twdp_options_rejected_for_other_algorithms(tmp_path, capsys):
     inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
     missing = str(tmp_path / "missing.td")
     for alg in ("oracle", "critical", "gcmp1", "approx"):
-        for extra in (("--td-file", missing), ("--visit-cap", "99"),
-                      ("--checkpoint-budget", "8")):
+        for extra in (("--td-file", missing), ("--checkpoint-budget", "8")):
             code, out, err = run(capsys, "solve", "--alg", alg, "-i", inst,
                                  *extra)
             assert code == 3, (alg, extra)
             assert out == "" and f"{extra[0]} applies only to --alg twdp" in err
-    # twdp itself takes all three.
+    # The visit cap is a constant: no algorithm takes the flag.
+    for alg in ALGORITHMS:
+        code, out, err = run(capsys, "solve", "--alg", alg, "-i", inst,
+                             "--visit-cap", "3")
+        assert code == 3 and out == "" and "--visit-cap" in err, alg
     code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst,
-                       "--visit-cap", "3", "--checkpoint-budget", "8")
+                       "--checkpoint-budget", "8")
     assert code == 0
     assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
 
@@ -223,18 +226,16 @@ def test_reduce_emits_instance_and_name_map(tmp_path, capsys):
     mcc = _file(tmp_path, "g.mcc",
                 render_mcc(MulticoloredGraph([["a"], ["b"]], [("a", "b")])))
     out_path = str(tmp_path / "red.gcmp")
-    code, out, err = run(capsys, "reduce", "mcc", "-i", mcc, "-o", out_path)
+    code, out, _ = run(capsys, "reduce", "mcc", "-i", mcc, "-o", out_path)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "reduce kappa=2 n=14 robots=3 budget=15 subdivision=8"
     names = [ln for ln in lines if ln.startswith("name ")]
     assert len(names) == 14 and "name s:1:2 12" in lines
     assert parse_instance(open(out_path).read()).budget == 15
-    assert "experimental" not in err
-    code, _, err = run(capsys, "reduce", "mcc", "-i", mcc, "--subdiv", "2")
-    assert code == 0 and "experimental" in err
-    code, _, _ = run(capsys, "reduce", "mcc", "-i", mcc, "--subdiv", "0")
-    assert code == 3
+    # The subdivision is always κ³; there is no override flag.
+    code, out, err = run(capsys, "reduce", "mcc", "-i", mcc, "--subdiv", "2")
+    assert code == 3 and out == "" and "--subdiv" in err
 
 
 def test_gen_deterministic_stdout(tmp_path, capsys):

@@ -136,21 +136,12 @@ def test_robot_count_and_budget_formulas():
                     if rng.random() < 0.5:
                         edges.append((u, v))
         m = _mcg(parts, edges)
-        d = rng.choice([None, 1, 2, 5])
-        red = reduce_mcc(m, d)
+        red = reduce_mcc(m)
         pairs = kappa * (kappa - 1) // 2
-        eff = d if d is not None else kappa**3
+        d = kappa**3
         assert len(red.instance.robots) == sum(sizes) + pairs
-        assert red.instance.budget == 2 * kappa + pairs * (eff + 3)
-        assert red.subdivision == eff
-
-
-def test_subdivision_override_must_be_positive():
-    m = _mcg([["a"], ["b"]], [("a", "b")])
-    with pytest.raises(InputError):
-        reduce_mcc(m, 0)
-    with pytest.raises(InputError):
-        reduce_mcc(m, -3)
+        assert red.instance.budget == 2 * kappa + pairs * (d + 3)
+        assert red.subdivision == d
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +171,13 @@ def test_witness_triangle_energy_96():
 
 
 def test_witness_meets_budget_with_equality_under_override():
+    # Two candidate vertices in the first part; the witness picks the
+    # second, whose corridor is not the first one built.
     m = _mcg([["a", "b"], ["x"]], [("a", "x"), ("b", "x")])
-    for d in (1, 2, 4):
-        red = reduce_mcc(m, d)
-        sched = witness_schedule(m, ["b", "x"], d)
-        assert sched.energy == red.instance.budget
-        assert validate_schedule(red.instance, sched).ok
+    red = reduce_mcc(m)
+    sched = witness_schedule(m, ["b", "x"])
+    assert sched.energy == red.instance.budget
+    assert validate_schedule(red.instance, sched).ok
 
 
 def test_witness_rejects_non_cliques():

@@ -14,13 +14,11 @@ from coordmp.core import (
     Schedule,
     validate_schedule,
 )
-from coordmp.havenswap import (
-    HavenConfiguration,
-    apply_steps,
-    normalize_around_haven,
-    swap,
-)
-from coordmp.structure import Haven, check_haven, find_all_nice, is_nice
+from coordmp.havenswap import HavenConfiguration, swap
+from coordmp.structure import Haven, check_haven, is_nice
+
+from _lemmas import normalize_around_haven
+from _reference import apply_steps
 
 
 def steps_to_schedule(graph, steps, start, goal):

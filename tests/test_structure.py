@@ -12,7 +12,6 @@ from coordmp.structure import (
     check_haven,
     classify_vertex,
     compute_motion_domain,
-    find_all_nice,
     is_nice,
     two_path_around,
 )
@@ -117,9 +116,15 @@ def test_check_haven_rejects_tampering():
         check_haven(g, bad)
 
 
+def nice_vertices(graph, k):
+    """Each nice vertex mapped to its witness haven."""
+    havens = {v: is_nice(graph, v, k) for v in range(graph.n)}
+    return {v: h for v, h in havens.items() if h is not None}
+
+
 def test_find_all_nice_path_empty_star_center_only():
-    assert find_all_nice(path_graph(6), 1) == {}
-    star = find_all_nice(star_graph(3), 1)
+    assert nice_vertices(path_graph(6), 1) == {}
+    star = nice_vertices(star_graph(3), 1)
     assert sorted(star) == [0]
     check_haven(star_graph(3), star[0])
 
@@ -127,7 +132,7 @@ def test_find_all_nice_path_empty_star_center_only():
 def test_find_all_nice_disjoint_union_is_componentwise():
     # Star on {0..3} plus a separate path on {4..7}.
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7)])
-    assert sorted(find_all_nice(g, 1)) == [0]
+    assert sorted(nice_vertices(g, 1)) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,8 @@ def test_motion_domain_small_graph_is_everything():
     dom = compute_motion_domain(inst, 0, 3)
     assert dom.applicable
     assert dom.vertices == frozenset(range(8))
-    assert dom.c1 == 1 and dom.c2 == 2
+    # k = 2, lam = 3: depth C2*(lam*k + k**4), threshold C1*k**4 + k + 1.
+    assert dom.depth == 44 and dom.degree_threshold == 19
 
 
 def test_motion_domain_hub_truncation_frozen():

@@ -210,9 +210,9 @@ def _p4_chain_tables():
     i2 = TDNode(2, "introduce", frozenset({0, 1, 2, 3}), (1,), 2)
     f1 = TDNode(3, "forget", frozenset({0, 2, 3}), (2,), 1)
     f2 = TDNode(4, "forget", terminals, (3,), 2)
-    leaf = dp_leaf(leaf_node, inst, 8, rho=10)
-    t1 = dp_introduce(i1, leaf, instance=inst, budget=10)
-    t2 = dp_introduce(i2, t1, instance=inst, budget=10)
+    leaf = dp_leaf(leaf_node, inst, 8, rho=10, exterior=leaf_node.bag)
+    t1 = dp_introduce(i1, leaf, instance=inst, budget=10, exterior=i1.bag)
+    t2 = dp_introduce(i2, t1, instance=inst, budget=10, exterior=i2.bag)
     t3 = dp_forget(f1, t2, 5, instance=inst)
     return g, inst, (leaf_node, i1, i2, f1, f2), (leaf, t1, t2, t3)
 
@@ -221,13 +221,13 @@ def test_dp_leaf_frozen_path_example():
     g = path_graph(3)
     inst = Instance(g, (Robot(0, 0, 2),))
     node = TDNode(0, "leaf", frozenset({0, 2}))
-    table = dp_leaf(node, inst, 8, rho=10)
+    table = dp_leaf(node, inst, 8, rho=10, exterior=node.bag)
     # The only way to reach the goal: vanish at 0, reappear at 2; no
     # bag-internal edge exists, so the realization costs nothing here.
     hop = (((0,), (UP,)), ((UP,), (2,)))
     assert table.get(hop) == 0
     assert table.get(()) == table.sentinel  # mover is not home yet
-    short = dp_leaf(node, inst, 2, rho=10)
+    short = dp_leaf(node, inst, 2, rho=10, exterior=node.bag)
     assert short.get(hop) == short.sentinel  # needs two pairs
 
 
@@ -347,7 +347,7 @@ def test_solve_budget_monotone_and_converges():
     oracle = solve_exact(inst).energy
     prev = None
     for budget in (4, 6, 8, 10, 12):
-        res = solve_twdp(inst, budget, certify=False)
+        res = solve_twdp(inst, budget)
         if res.energy is not None and prev is not None:
             assert res.energy <= prev
         if res.energy is not None:
@@ -402,6 +402,27 @@ def test_solve_audit_mode(monkeypatch):
                 assert value == moves
                 values.append(value)
     assert max(values) > 0
+
+
+def test_solve_builds_one_leaf_table(monkeypatch):
+    """All leaves share the terminal bag, so a solve builds their table once."""
+    calls = []
+    real_leaf = coordmp.twdp.dp_leaf
+
+    def counting_leaf(*args, **kwargs):
+        calls.append(args[0].id)
+        return real_leaf(*args, **kwargs)
+
+    monkeypatch.setattr(coordmp.twdp, "dp_leaf", counting_leaf)
+    g = star_graph(5)
+    inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)))
+    td = build_nice_td(g, {0, 1, 2})
+    assert sum(1 for n in td.nodes.values() if n.kind == "leaf") > 1
+    for _ in range(2):  # the table belongs to one solve, not to the next
+        calls.clear()
+        res = solve_twdp(inst, 12, td=td)
+        assert res.status == "optimal" and res.energy == solve_exact(inst).energy
+        assert len(calls) == 1
 
 
 def test_solve_matches_oracle_on_random_instances():
