@@ -81,8 +81,6 @@ def _write(path: str | None, text: str) -> None:
 
 def _limits(args) -> Limits:
     if getattr(args, "state_cap", None) is not None:
-        if args.state_cap < 1:
-            raise InputError("state cap must be positive")
         return Limits(max_states=args.state_cap)
     return default_limits()
 

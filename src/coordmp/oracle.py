@@ -1,23 +1,29 @@
 """Exact minimum-energy search over robot configurations.
 
-States are injective vertex tuples (one coordinate per robot).  Transitions
-are parallel conflict-free moves weighted by the number of moving robots,
-and the searches run Dijkstra with deterministic lexicographic
-tie-breaking (the smallest successor state is expanded first).
+A configuration puts robot i on vertex state[i], no two robots on one
+vertex.  The searches store it packed into one int, the code
+``sum(state[i] * n**(k-1-i))``: base-n digits with robot 0 the most
+significant.  Codes of k-digit states compare exactly as the state tuples
+do, so every heap tie broken on codes is the lexicographic tie-break on
+states (the smallest successor state is expanded first), and moving robot
+i from v to u adds (u - v) * n**(k-1-i) to the code.
 
-Any legal parallel step decomposes into independent chains and fully
-occupied cycles: chains serialize into single moves at equal total energy,
-while cycle rotations cannot be serialized.  The generator therefore emits
-single moves plus whole-cycle rotations, which preserves both feasibility
-and the optimal energy while keeping branching small.
+Transitions are parallel conflict-free moves weighted by the number of
+moving robots, and the searches run Dijkstra (A* on goal distances) with
+that deterministic tie-breaking.  Any legal parallel step decomposes into
+independent chains and fully occupied cycles: chains serialize into single
+moves at equal total energy, while cycle rotations cannot be serialized.
+The generator therefore emits single moves plus whole-cycle rotations,
+which preserves both feasibility and the optimal energy while keeping
+branching small.
 
-Every successor generator yields ``(next, weight, steps, moved)``: steps is
-the per-step state sequence of the transition (one state, or a corridor
-walk for transits) and moved holds the indices of the robots whose vertex
-changed.  The search updates its goal-distance bound from moved alone, so
-a successor costs O(robots moved) rather than O(k).  Occupied cycles are
-found from the occupied neighbours that the single-move loop sees anyway,
-and only when the occupied subgraph can contain one.
+Every successor generator yields ``(next_code, weight, dh, steps)``: dh is
+the change of the summed goal distance, computed from the robots that move
+alone, so a successor costs O(robots moved) rather than O(k); steps is
+None for a one-step transition and the tuple of per-step codes of a
+corridor transit.  Occupied cycles are found from the occupied neighbours
+that the single-move loop sees anyway, and only when the occupied subgraph
+can contain one.
 """
 from __future__ import annotations
 
@@ -37,7 +43,6 @@ from coordmp.core import (
     Schedule,
     bfs_distances,
     layers,
-    shortest_path_distance,
 )
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -48,21 +53,31 @@ STATE_CAP_ENV = "COORDMP_STATE_CAP"
 class Limits:
     """Resource limits for configuration searches.
 
-    max_states caps expanded states (sized for roughly n <= 12, k <= 4).
+    max_states caps expanded states and must be positive.  It bounds
+    memory only through the branching: an exact search reaches 7 to 10
+    states per expanded state and keeps 210 to 240 bytes per reached
+    state (its table and heap entries), about 1.4 KB per expanded state on
+    a 6x6 grid with k=6 and 2.5 KB on an 8x8 grid with k=8 (CPython 3.11,
+    64-bit).
     """
 
     max_states: int = DEFAULT_STATE_CAP
+
+    def __post_init__(self):
+        if self.max_states < 1:
+            raise InputError("state cap must be positive")
 
 
 def default_limits() -> Limits:
     """Default limits, honoring the COORDMP_STATE_CAP environment override."""
     cap = os.environ.get(STATE_CAP_ENV)
-    if cap is not None:
-        try:
-            return Limits(max_states=int(cap))
-        except ValueError:
-            raise InputError(f"{STATE_CAP_ENV} must be an integer") from None
-    return Limits()
+    if cap is None:
+        return Limits()
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise InputError(f"{STATE_CAP_ENV} must be an integer") from None
+    return Limits(max_states=cap)
 
 
 @dataclass(frozen=True)
@@ -118,27 +133,28 @@ def _has_cycle(adj) -> bool:
     return left > 0
 
 
-def _successors(graph: Graph, domains, state: tuple[int, ...]):
-    """Yield (next_state, weight, steps, moved) for single moves and rotations.
+def _successors(graph: Graph, domains, state, code: int, place, dists):
+    """Yield (next_code, weight, dh, None) for single moves and rotations.
 
-    steps is (next_state,); moved is (i,) for a single move of robot i and
-    the cycle's index tuple for a rotation.  The occupied neighbours met
-    while emitting single moves form the occupied adjacency; rotations are
-    enumerated only when it has at least three edges and a cycle.
+    state is the decoded configuration of code, place[i] is robot i's
+    digit weight n**(k-1-i) and dists the per-robot goal-distance lists.
+    The occupied neighbours met while emitting single moves form the
+    occupied adjacency; rotations are enumerated only when it has at least
+    three edges and a cycle.
     """
     index = {v: i for i, v in enumerate(state)}
     adj = []
     occupied_edges = 0
     for i, v in enumerate(state):
         allowed = domains[i] if domains is not None else None
-        head, tail, moved = state[:i], state[i + 1 :], (i,)
+        p, d = place[i], dists[i]
+        base, dv = code - v * p, d[v]
         occupied = []
         for u in graph.neighbors(v):
             if u in index:
                 occupied.append(index[u])
             elif allowed is None or u in allowed:
-                nxt = head + (u,) + tail
-                yield nxt, 1, (nxt,), moved
+                yield base + u * p, 1, d[u] - dv, None
         occupied.sort()
         adj.append(occupied)
         occupied_edges += len(occupied)
@@ -147,22 +163,30 @@ def _successors(graph: Graph, domains, state: tuple[int, ...]):
     for cycle in _cycles(adj):
         length = len(cycle)
         for direction in (1, -1):
-            nxt = list(state)
+            nxt, dh = code, 0
             for pos, i in enumerate(cycle):
-                tgt = state[cycle[(pos + direction) % length]]
+                v, tgt = state[i], state[cycle[(pos + direction) % length]]
                 if domains is not None and tgt not in domains[i]:
                     break
-                nxt[i] = tgt
+                d = dists[i]
+                nxt += (tgt - v) * place[i]
+                dh += d[tgt] - d[v]
             else:
-                nxt = tuple(nxt)
-                yield nxt, length, (nxt,), cycle
+                yield nxt, length, dh, None
 
 
-def _goal_reached(instance: Instance, state: tuple[int, ...]) -> bool:
-    for i, r in enumerate(instance.robots):
-        if r.goal is not None and state[i] != r.goal:
-            return False
-    return True
+def _encode(state, n: int) -> int:
+    code = 0
+    for v in state:
+        code = code * n + v
+    return code
+
+
+def _decode(code: int, n: int, k: int) -> list[int]:
+    state = [0] * k
+    for i in range(k - 1, -1, -1):
+        code, state[i] = divmod(code, n)
+    return state
 
 
 def _trivial_result(instance: Instance) -> SearchResult:
@@ -171,19 +195,21 @@ def _trivial_result(instance: Instance) -> SearchResult:
     return SearchResult("optimal", 0, sched, 0)
 
 
-def _reconstruct(instance: Instance, table, goal_state) -> Schedule:
-    chain = [goal_state]
+def _reconstruct(instance: Instance, table, goal_code: int) -> Schedule:
+    chain = [goal_code]
     while table[chain[-1]][1] is not None:
         chain.append(table[chain[-1]][1])
     chain.reverse()
-    # Expand each transition into its per-step states (transits span several).
-    states = [chain[0]]
-    for state in chain[1:]:
-        states.extend(table[state][2])
-    routes = tuple(
-        Route(tuple(s[i] for s in states)) for i in range(instance.k)
-    )
-    return Schedule(routes)
+    # Expand each transition into its per-step codes (transits span several).
+    codes = [chain[0]]
+    for code in chain[1:]:
+        steps = table[code][2]
+        codes.extend((code,) if steps is None else steps)
+    n, k = instance.graph.n, instance.k
+    states = [_decode(code, n, k) for code in codes]
+    return Schedule(tuple(
+        Route(tuple(s[i] for s in states)) for i in range(k)
+    ))
 
 
 def _goal_distances(instance):
@@ -202,96 +228,112 @@ def _goal_distances(instance):
     ]
 
 
-def _dijkstra(instance, successors, limits, budget):
-    """Shared search core; successors(state) yields (next, weight, steps, moved).
+def _start(instance):
+    """(dists, place, start code, start bound) shared by both searches.
 
-    steps is the per-step state expansion recorded for reconstruction.
-    Runs A* on remaining goal distances (exact: the bound is consistent
-    even for restricted successor graphs, whose moves are a subset of the
-    base graph's).  A successor's bound is its parent's, f - g of the
-    popped entry, plus the distance change of each robot in moved.  The
-    unreachable-goal test runs once, at the start: robots move only along
-    edges, so none ever leaves its start's component and the None entries
-    of the distance lists are never read afterwards.  A state is a goal
-    exactly when its bound is 0.  One table maps each reached state to
-    (g, parent, steps).  Returns (goal_state, g, table, expanded) with
-    goal_state None when the search space is exhausted.
+    The bound is None when a mover's goal lies outside its start's
+    component.  Robots move only along edges, so none ever leaves that
+    component: after this test no search reads a None distance, and a
+    configuration is a goal exactly when its bound is 0.
     """
+    n, k = instance.graph.n, instance.k
     dists = _goal_distances(instance)
-    start = tuple(r.start for r in instance.robots)
-    table = {start: (0, None, None)}
-    if any(d[v] is None for d, v in zip(dists, start)):
+    place = [n ** (k - 1 - i) for i in range(k)]
+    start = [r.start for r in instance.robots]
+    h = None
+    if all(d[v] is not None for d, v in zip(dists, start)):
+        h = sum(d[v] for d, v in zip(dists, start))
+    return dists, place, _encode(start, n), h
+
+
+def _dijkstra(instance, successors, limits, budget):
+    """Shared search core over packed configuration codes.
+
+    successors(state, code, place, dists) yields (next_code, weight, dh,
+    steps), steps being the per-step codes recorded for reconstruction
+    (None for one step).  Runs A* on remaining goal distances (exact: the
+    bound is consistent even for restricted successor graphs, whose moves
+    are a subset of the base graph's).  A successor's bound is its
+    parent's, f - g of the popped entry, plus dh.  Heap entries are
+    (f, g, code); as codes order like state tuples, ties on f and g pop
+    the lexicographically smallest state, as a heap of tuples would.  A
+    popped code is decoded once (k divmods) for its successors.  One table
+    maps each reached code to (g, parent code, steps).  Returns
+    (goal_code, g, table, expanded) with goal_code None when the search
+    space is exhausted and "limit" when the state cap cut it.
+    """
+    dists, place, code, h = _start(instance)
+    table = {code: (0, None, None)}
+    if h is None:
         return None, None, table, 0  # a goal is cut off even with no other robot
-    heap = [(sum(d[v] for d, v in zip(dists, start)), 0, start)]
+    n, k = instance.graph.n, instance.k
+    heap = [(h, 0, code)]
     max_states = limits.max_states
     expanded = 0
     while heap:
-        f, g, state = heapq.heappop(heap)
-        if g > table[state][0]:
+        f, g, code = heapq.heappop(heap)
+        if g > table[code][0]:
             continue
-        h = f - g
-        if h == 0:
-            return state, g, table, expanded
+        if f == g:
+            return code, g, table, expanded
         expanded += 1
         if expanded > max_states:
             return "limit", None, table, expanded
-        for nxt, weight, steps, moved in successors(state):
+        state = _decode(code, n, k)
+        for nxt, weight, dh, steps in successors(state, code, place, dists):
             ng = g + weight
             seen = table.get(nxt)
             if seen is not None and ng >= seen[0]:
                 continue
-            nh = h
-            for i in moved:
-                d = dists[i]
-                nh += d[nxt[i]] - d[state[i]]
-            if budget is not None and ng + nh > budget:
+            nf = f + weight + dh
+            if budget is not None and nf > budget:
                 continue
-            table[nxt] = (ng, state, steps)
-            heapq.heappush(heap, (ng + nh, ng, nxt))
+            table[nxt] = (ng, code, steps)
+            heapq.heappush(heap, (nf, ng, nxt))
     return None, None, table, expanded
 
 
 def _feasibility_scan(instance, successors, limits) -> str:
-    """Reachability of any goal configuration; ignores weights."""
-    start = tuple(r.start for r in instance.robots)
-    if _goal_reached(instance, start):
-        return "feasible"
-    if any(
-        shortest_path_distance(instance.graph, r.start, r.goal) is None
-        for r in instance.movers
-    ):
+    """Reachability of any goal configuration; ignores weights.
+
+    Breadth-first over codes, keeping each reached code's bound so that the
+    goal test is the search's: bound h + dh == 0.
+    """
+    dists, place, code, h = _start(instance)
+    if h is None:
         return "infeasible"  # a goal is cut off even with no other robot
-    seen = {start}
-    queue = deque([start])
+    if h == 0:
+        return "feasible"
+    n, k = instance.graph.n, instance.k
+    seen = {code: h}
+    queue = deque([code])
     expanded = 0
     while queue:
-        state = queue.popleft()
+        code = queue.popleft()
         expanded += 1
         if expanded > limits.max_states:
             return "state-limit"
-        for nxt, _, _, _ in successors(state):
+        h = seen[code]
+        state = _decode(code, n, k)
+        for nxt, _, dh, _ in successors(state, code, place, dists):
             if nxt in seen:
                 continue
-            if _goal_reached(instance, nxt):
+            if h + dh == 0:
                 return "feasible"
-            seen.add(nxt)
+            seen[nxt] = h + dh
             queue.append(nxt)
     return "infeasible"
 
 
 def _solve(instance: Instance, successors, limits: Limits) -> SearchResult:
-    if instance.k == 0 or _goal_reached(
-        instance, tuple(r.start for r in instance.robots)
-    ):
-        return _trivial_result(instance)
     budget = instance.budget
-    goal_state, d, table, expanded = _dijkstra(
+    goal_code, d, table, expanded = _dijkstra(
         instance, successors, limits, budget
     )
-    if goal_state == "limit":
+    if goal_code == "limit":
         return SearchResult("state-limit", states_expanded=expanded)
-    if goal_state is not None:
-        sched = _reconstruct(instance, table, goal_state)
+    if goal_code is not None:
+        sched = _reconstruct(instance, table, goal_code)
         return SearchResult("optimal", d, sched, expanded)
     if budget is None:
         return SearchResult("infeasible", states_expanded=expanded)
@@ -355,10 +397,6 @@ def check_feasible(instance: Instance, limits: Limits | None = None) -> str:
     is witnessed by some schedule of energy polynomial in the graph size.
     """
     limits = limits or default_limits()
-    if instance.k == 0 or _goal_reached(
-        instance, tuple(r.start for r in instance.robots)
-    ):
-        return "feasible"
     return _feasibility_scan(
         instance, partial(_successors, instance.graph, None), limits
     )
@@ -405,6 +443,24 @@ def _transit_edges(graph: Graph, critical: frozenset[int]):
     return transits
 
 
+def _critical_successors(graph, domains, transits, state, code, place, dists):
+    """_successors inside the critical domains, then corridor transits.
+
+    A transit moves one robot through a corridor to a free critical
+    vertex; its steps are the codes after each edge of the walk.
+    """
+    occupied = set(state)
+    yield from _successors(graph, domains, state, code, place, dists)
+    for i, v in enumerate(state):
+        p, d = place[i], dists[i]
+        base = code - v * p
+        for target, weight, path in transits[v]:
+            if target in occupied:
+                continue
+            steps = tuple(base + u * p for u in path[1:])
+            yield steps[-1], weight, d[target] - d[v], steps
+
+
 def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchResult:
     """Exact search over configurations restricted to critical vertices.
 
@@ -420,20 +476,7 @@ def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchRe
     if len(critical) == g.n:
         return solve_exact(instance, limits)
     transits = _transit_edges(g, critical)
-    crit_domains = (critical,) * instance.k
-
-    def gen(state):
-        occupied = set(state)
-        yield from _successors(g, crit_domains, state)
-        for i, v in enumerate(state):
-            for target, weight, path in transits[v]:
-                if target in occupied:
-                    continue
-                steps = []
-                for step_vertex in path[1:]:
-                    steps.append(
-                        state[:i] + (step_vertex,) + state[i + 1 :]
-                    )
-                yield steps[-1], weight, steps, (i,)
-
-    return _solve(instance, gen, limits)
+    domains = (critical,) * instance.k
+    return _solve(
+        instance, partial(_critical_successors, g, domains, transits), limits
+    )

@@ -157,6 +157,17 @@ def test_state_cap_env_honored(tmp_path, capsys, monkeypatch):
     assert code == 4 and "status=state-limit" in out
 
 
+def test_non_positive_state_cap_exit_3(tmp_path, capsys, monkeypatch):
+    inst = _file(tmp_path, "p4.gcmp", P4_ONE_MOVER)
+    for cap in ("0", "-5"):
+        code, out, err = run(capsys, "solve", "--alg", "oracle", "-i", inst,
+                             "--state-cap", cap)
+        assert (code, out) == (3, "") and "state cap must be positive" in err
+    monkeypatch.setenv("COORDMP_STATE_CAP", "-5")
+    code, out, err = run(capsys, "solve", "--alg", "oracle", "-i", inst)
+    assert (code, out) == (3, "") and "state cap must be positive" in err
+
+
 def test_solve_input_errors_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--alg", "oracle", "-i",
                        str(tmp_path / "missing.gcmp"))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -10,13 +11,19 @@ from coordmp.core import (
     InputError,
     Instance,
     Robot,
+    bfs_distances,
     render_schedule,
     validate_schedule,
 )
 from coordmp.generators import cycle_graph, generate, grid_graph
 from coordmp.oracle import (
     Limits,
+    _critical_successors,
+    _decode,
+    _encode,
+    _start,
     _successors,
+    _transit_edges,
     check_feasible,
     critical_vertices,
     default_limits,
@@ -143,6 +150,9 @@ def test_state_cap_env_override(monkeypatch):
     assert default_limits().max_states == 123
     monkeypatch.setenv("COORDMP_STATE_CAP", "zzz")
     with pytest.raises(InputError):
+        default_limits()
+    monkeypatch.setenv("COORDMP_STATE_CAP", "0")
+    with pytest.raises(InputError, match="positive"):
         default_limits()
 
 
@@ -317,6 +327,27 @@ def _property_graphs():
     return graphs
 
 
+def _decoded_successors(graph, domains, state, dists=None):
+    """_successors on state's code, with each next code decoded to a tuple."""
+    n, k = graph.n, len(state)
+    if dists is None:
+        dists = [[0] * n] * k
+    place = [n ** (k - 1 - i) for i in range(k)]
+    for code, weight, dh, steps in _successors(
+        graph, domains, list(state), _encode(state, n), place, dists
+    ):
+        yield tuple(_decode(code, n, k)), weight, dh, steps
+
+
+def _rotation_walk(state, nxt):
+    """The movers from the smallest, each followed by the robot whose vertex it takes."""
+    owner = {v: i for i, v in enumerate(state)}
+    walk = [min(i for i in range(len(state)) if nxt[i] != state[i])]
+    while owner[nxt[walk[-1]]] != walk[0]:
+        walk.append(owner[nxt[walk[-1]]])
+    return tuple(walk)
+
+
 def test_successors_are_legal_steps_and_cover_rotations():
     rng = random.Random(11)
     checked_rotations = 0
@@ -332,15 +363,13 @@ def test_successors_are_legal_steps_and_cover_rotations():
                     for v in state
                 )
             legal = dict(legal_parallel_steps(graph, state))
-            got = list(_successors(graph, domains, state))
+            got = list(_decoded_successors(graph, domains, state))
             counts = {}
-            for nxt, weight, steps, moved in got:
+            for nxt, weight, _, steps in got:
                 assert legal.get(nxt) == weight, (state, nxt)
-                assert steps == (nxt,)
-                changed = tuple(i for i in range(k) if nxt[i] != state[i])
-                assert sorted(moved) == list(changed), (state, nxt, moved)
+                assert steps is None
                 if domains is not None:
-                    assert all(nxt[i] in domains[i] for i in moved)
+                    assert all(nxt[i] in domains[i] for i in range(k))
                 counts[nxt] = counts.get(nxt, 0) + 1
             for nxt, weight in legal.items():
                 if domains is not None and any(
@@ -376,12 +405,18 @@ def test_rotation_order_pinned():
     ]
     for graph, state, cycles in cases:
         rotations = [
-            moved for _, weight, _, moved in _successors(graph, None, state)
+            _rotation_walk(state, nxt)
+            for nxt, weight, _, _ in _decoded_successors(graph, None, state)
             if weight > 1
         ]
-        assert rotations == [c for c in cycles for _ in (1, -1)]
+        # Forward, robot c[j] takes c[j + 1]'s vertex; backward, c[j - 1]'s.
+        assert rotations == [
+            walk for c in cycles for walk in (c, c[:1] + c[:0:-1])
+        ]
     grid_rotations = [
-        nxt for nxt, weight, _, _ in _successors(grid_graph(3, 3), None, grid_state)
+        nxt for nxt, weight, _, _ in _decoded_successors(
+            grid_graph(3, 3), None, grid_state
+        )
         if weight > 1
     ]
     assert grid_rotations[:4] == [
@@ -390,6 +425,80 @@ def test_rotation_order_pinned():
         (3, 1, 2, 0, 4, 5, 7, 8),
         (5, 3, 0, 4, 2, 1, 7, 8),
     ]
+
+
+def test_packed_codes_round_trip_and_keep_tuple_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 70)
+        k = rng.randrange(min(n, 9) + 1)
+        states = [tuple(rng.sample(range(n), k)) for _ in range(5)]
+        states.append(states[0])
+        codes = [_encode(s, n) for s in states]
+        for s, c in zip(states, codes):
+            assert 0 <= c < n**k
+            assert tuple(_decode(c, n, k)) == s
+        for a, ca in zip(states, codes):
+            for b, cb in zip(states, codes):
+                assert (a < b, a == b) == (ca < cb, ca == cb), (a, b)
+
+
+def test_bound_change_matches_goal_distances():
+    # Every successor's dh is the change of the summed goal distance:
+    # single moves and rotations on the property graphs, with random goals
+    # and free robots, and corridor transits of solve_critical.
+    def total(dists, state):
+        return sum(d[v] for d, v in zip(dists, state))
+
+    rng = random.Random(29)
+    weights = set()
+    for graph in _property_graphs():
+        for _ in range(20):
+            k = rng.randrange(1, min(graph.n, 5) + 1)
+            state = tuple(rng.sample(range(graph.n), k))
+            dists = [
+                [0] * graph.n if rng.random() < 0.3
+                else bfs_distances(graph, rng.randrange(graph.n))
+                for _ in range(k)
+            ]
+            for nxt, weight, dh, _ in _decoded_successors(
+                graph, None, state, dists
+            ):
+                assert dh == total(dists, nxt) - total(dists, state)
+                weights.add(weight)
+    assert {1, 3, 4} <= weights
+
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    edges += [(3 + i, 4 + i) for i in range(12)]
+    edges += [(15, 16), (16, 17), (17, 15)]
+    g = Graph(18, edges)
+    inst = Instance(g, (Robot(0, 0, 16), Robot(1, 1, 17), Robot(2, 16, None)))
+    critical = critical_vertices(inst)
+    gen = partial(
+        _critical_successors,
+        g,
+        (critical,) * inst.k,
+        _transit_edges(g, critical),
+    )
+    dists, place, start, _ = _start(inst)
+    seen, frontier, transits = {start}, [start], 0
+    while frontier:
+        code = frontier.pop()
+        state = _decode(code, g.n, inst.k)
+        for nxt, weight, dh, steps in gen(state, code, place, dists):
+            after = _decode(nxt, g.n, inst.k)
+            assert dh == total(dists, after) - total(dists, state)
+            if steps is not None:
+                transits += 1
+                assert steps[-1] == nxt and len(steps) == weight
+                walk = [state] + [_decode(c, g.n, inst.k) for c in steps]
+                for a, b in zip(walk, walk[1:]):
+                    (i,) = [i for i in range(inst.k) if a[i] != b[i]]
+                    assert g.has_edge(a[i], b[i])
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert transits >= 100
 
 
 # ---------------------------------------------------------------------------
