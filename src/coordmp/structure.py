@@ -132,35 +132,87 @@ def _check_k(k: int) -> None:
         raise InputError("k must be at least 1")
 
 
-def _connected_sets_with(graph: Graph, root: int, size: int, banned):
-    """Yield each connected vertex set of exactly ``size`` vertices that
-    contains ``root`` and avoids ``banned``, exactly once, in a fixed order.
+def _grow(graph: Graph, sources, blocked, limit: int | None = None) -> set[int]:
+    """Vertices reachable from ``sources`` without entering ``blocked``.
 
-    Uses the standard exclusion-set enumeration: at each level the branches
-    that skip a candidate keep it excluded in all deeper extensions, so no
-    set is produced twice.
+    The walk stops as soon as ``limit`` vertices are found (never when
+    ``limit`` is None), so a size test costs at most ``limit`` expansions.
     """
-    if size <= 0 or root in banned:
-        return
+    seen = set(sources)
+    stack = list(seen)
+    while stack and (limit is None or len(seen) < limit):
+        for w in graph.neighbors(stack.pop()):
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _packing_refutes(graph: Graph, v: int, k: int) -> bool:
+    """True when the components of G - v cannot feed a haven at ``v``.
+
+    A haven splits the non-center vertices it uses into A = C1 - v (at
+    least k), B = C2 - v (at least k) and X = {x} (at least 1).  A
+    component of G - v holding exactly one neighbor of ``v`` is reached
+    only through that neighbor, so it feeds at most one of A, B and X; a
+    DP over the capped sums (a, b, x) tracks every such assignment.  A
+    component holding two or more neighbors is counted as mass that may
+    be split freely, which relaxes the test but keeps it sound.  On a tree
+    every component holds one neighbor and the test is exact.
+    """
+    nbs = graph.neighbors(v)
+    blocked = frozenset((v,))
+    divisible = 0
+    sums = {(0, 0, 0)}
+    seen: set[int] = set()
+    for u in nbs:
+        if u in seen:
+            continue
+        comp = _grow(graph, (u,), blocked)
+        seen |= comp
+        size = len(comp)
+        if sum(w in comp for w in nbs) > 1:
+            divisible += size
+            continue
+        sums = {
+            s
+            for a, b, x in sums
+            for s in ((min(a + size, k), b, x), (a, min(b + size, k), x), (a, b, 1))
+        }
+    return all((k - a) + (k - b) + (1 - x) > divisible for a, b, x in sums)
+
+
+def _first_connected_set(graph: Graph, root: int, size: int, banned, viable):
+    """The first connected ``size``-set through ``root`` avoiding ``banned``
+    that ``viable`` accepts, in exclusion-set enumeration order; else None.
+
+    The enumeration adds candidates in ascending order, and the branches
+    that skip a candidate keep it excluded in all deeper extensions, so
+    every set is reached exactly once.  ``viable(current, excluded)`` is
+    asked at every node; it must hold for each prefix of an accepted set,
+    so a rejected node's subtree holds no accepted set and is cut.  A
+    sibling's exclusion set still comes from the full candidate list, so
+    cutting a subtree never changes which set is found first.
+    """
 
     def rec(current: frozenset, excluded: frozenset):
+        if not viable(current, excluded):
+            return None
         if len(current) == size:
-            yield current
-            return
+            return current
         cands = sorted(
-            {
-                nb
-                for u in current
-                for nb in graph.neighbors(u)
-            }
+            {nb for u in current for nb in graph.neighbors(u)}
             - current
             - excluded
             - banned
         )
         for i, c in enumerate(cands):
-            yield from rec(current | {c}, excluded | frozenset(cands[:i]))
+            found = rec(current | {c}, excluded | frozenset(cands[:i]))
+            if found is not None:
+                return found
+        return None
 
-    yield from rec(frozenset((root,)), frozenset())
+    return rec(frozenset((root,)), frozenset())
 
 
 def _haven_members(graph: Graph, center: int, universe: frozenset[int], k: int) -> frozenset[int]:
@@ -181,9 +233,27 @@ def is_nice(graph: Graph, v: int, k: int) -> Haven | None:
     A vertex is *nice* when three connected subgraphs through it pairwise
     intersect in exactly the vertex itself, the first two having at least
     ``k + 1`` vertices and the third at least 2.  Vertices of degree >= 2k+1
-    always qualify (star witnesses from the lowest-id neighbors); otherwise
-    an exhaustive bounded enumeration of connected (k+1)-sets through ``v``
-    decides the question exactly.
+    always qualify (star witnesses from the lowest-id neighbors).
+
+    Otherwise the question is decided exactly:
+
+    - A component-packing refutation (``_packing_refutes``) runs first and
+      returns None when the components of G - v cannot feed the three sets.
+      It is sound, and exact on trees.
+    - Then connected (k+1)-sets C1 through ``v`` are enumerated in
+      exclusion-set order; for each, connected (k+1)-sets C2 through ``v``
+      avoiding C1 - v; then the lowest neighbor x of ``v`` outside both.
+      A subtree of either enumeration is cut only by a necessary condition
+      that holds for every set in it: C1 must leave some neighbor x outside
+      it for which the vertices reachable from the partial set (avoiding
+      the excluded candidates and x) and the vertices reachable from ``v``
+      (avoiding the partial C1 and x) both number at least k + 1; C2 must
+      leave some neighbor x outside C1 and itself for which the vertices
+      reachable from the partial set (avoiding C1 - v, the excluded
+      candidates and x) number at least k + 1.
+
+    The returned witness is therefore the first (C1, C2, x) in enumeration
+    order, the same one the unpruned enumeration returns.
     """
     _check_vertex(graph, v)
     _check_k(k)
@@ -192,20 +262,42 @@ def is_nice(graph: Graph, v: int, k: int) -> Haven | None:
         # Three subgraphs meeting pairwise only at v need three disjoint
         # neighbors.
         return None
+    nbs = graph.neighbors(v)
     if deg >= 2 * k + 1:
-        nbs = graph.neighbors(v)[: 2 * k + 1]
         c1 = frozenset((v,) + nbs[:k])
         c2 = frozenset((v,) + nbs[k : 2 * k])
         return _make_haven(graph, v, c1, c2, nbs[2 * k], k)
+    if _packing_refutes(graph, v, k):
+        return None
     size = k + 1
-    for c1 in _connected_sets_with(graph, v, size, frozenset()):
-        banned = c1 - {v}
-        for c2 in _connected_sets_with(graph, v, size, banned):
-            used = c1 | c2
-            for x in graph.neighbors(v):
-                if x not in used:
-                    return _make_haven(graph, v, c1, c2, x, k)
-    return None
+    center = frozenset((v,))
+
+    def c1_viable(current, excluded):
+        rest = current - center
+        return any(
+            len(_grow(graph, current, excluded | {x}, size)) >= size
+            and len(_grow(graph, center, rest | {x}, size)) >= size
+            for x in nbs
+            if x not in current
+        )
+
+    c1 = _first_connected_set(graph, v, size, frozenset(), c1_viable)
+    if c1 is None:
+        return None
+    banned = c1 - center
+
+    def c2_viable(current, excluded):
+        blocked = excluded | banned
+        return any(
+            len(_grow(graph, current, blocked | {x}, size)) >= size
+            for x in nbs
+            if x not in c1 and x not in current
+        )
+
+    # c1_viable accepted c1 itself, so some (c2, x) completes it.
+    c2 = _first_connected_set(graph, v, size, banned, c2_viable)
+    x = next(x for x in nbs if x not in c1 and x not in c2)
+    return _make_haven(graph, v, c1, c2, x, k)
 
 
 def check_haven(graph: Graph, haven: Haven) -> None:

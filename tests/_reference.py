@@ -9,6 +9,7 @@ import heapq
 from itertools import combinations, product
 
 from coordmp.core import Graph, InputError, Instance, Route, Schedule
+from coordmp.structure import Haven, _make_haven
 
 
 def legal_parallel_steps(graph: Graph, state: tuple[int, ...]):
@@ -126,6 +127,64 @@ def ref_is_nice(graph: Graph, v: int, k: int, subsets=None) -> bool:
                 if c1 & c3 == vset and c2 & c3 == vset:
                     return True
     return False
+
+
+def _connected_sets_with(graph: Graph, root: int, size: int, banned):
+    """Yield each connected vertex set of exactly ``size`` vertices that
+    contains ``root`` and avoids ``banned``, exactly once, in a fixed order.
+
+    Uses the standard exclusion-set enumeration: at each level the branches
+    that skip a candidate keep it excluded in all deeper extensions, so no
+    set is produced twice.
+    """
+    if size <= 0 or root in banned:
+        return
+
+    def rec(current: frozenset, excluded: frozenset):
+        if len(current) == size:
+            yield current
+            return
+        cands = sorted(
+            {
+                nb
+                for u in current
+                for nb in graph.neighbors(u)
+            }
+            - current
+            - excluded
+            - banned
+        )
+        for i, c in enumerate(cands):
+            yield from rec(current | {c}, excluded | frozenset(cands[:i]))
+
+    yield from rec(frozenset((root,)), frozenset())
+
+
+def ordered_is_nice(graph: Graph, v: int, k: int) -> Haven | None:
+    """The unpruned haven search: the first (C1, C2, x) in enumeration order.
+
+    Star witnesses for degree >= 2k+1; otherwise every connected (k+1)-set
+    C1 through ``v``, then every connected (k+1)-set C2 through ``v``
+    avoiding C1 - v, then the lowest neighbor x outside both.  Exponential
+    in k; ``structure.is_nice`` must return exactly this witness.
+    """
+    deg = graph.degree(v)
+    if deg < 3:
+        return None
+    if deg >= 2 * k + 1:
+        nbs = graph.neighbors(v)[: 2 * k + 1]
+        c1 = frozenset((v,) + nbs[:k])
+        c2 = frozenset((v,) + nbs[k : 2 * k])
+        return _make_haven(graph, v, c1, c2, nbs[2 * k], k)
+    size = k + 1
+    for c1 in _connected_sets_with(graph, v, size, frozenset()):
+        banned = c1 - {v}
+        for c2 in _connected_sets_with(graph, v, size, banned):
+            used = c1 | c2
+            for x in graph.neighbors(v):
+                if x not in used:
+                    return _make_haven(graph, v, c1, c2, x, k)
+    return None
 
 
 def brute_force_feasible(instance: Instance, cap: int = 2_000_000) -> bool:

@@ -211,6 +211,23 @@ def test_approximate_builds_without_feasibility_check(monkeypatch):
     assert validate_schedule(inst, rep.schedule).ok
 
 
+@pytest.mark.parametrize(
+    "kind,params,energy,lower_bound",
+    [
+        ("grid", dict(width=10, height=10, robots=8, seed=1), 71, 43),
+        ("grid", dict(width=15, height=15, robots=12, seed=0), 263, 89),
+        ("random-tree", dict(n=100, robots=6, seed=0), 74, 42),
+    ],
+)
+def test_approximate_scale_answers_pinned(kind, params, energy, lower_bound):
+    # Answers of the unpruned haven enumeration, which took seconds to
+    # minutes on these sizes; the pruned search must return the same havens.
+    inst = generate(kind, **params)
+    rep = approximate(inst, Limits(max_states=10_000))
+    assert (rep.status, rep.energy, rep.lower_bound) == ("ok", energy, lower_bound)
+    assert validate_schedule(inst, rep.schedule).ok
+
+
 def test_blocked_construction_decides_feasibility(monkeypatch):
     verdicts = []
 

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from coordmp.core import Graph, InputError, Instance, Robot
+from coordmp.generators import grid_graph, random_connected, random_tree
 from coordmp.structure import (
     ClassificationError,
+    _packing_refutes,
     check_haven,
     classify_vertex,
     compute_motion_domain,
@@ -16,7 +18,7 @@ from coordmp.structure import (
     two_path_around,
 )
 
-from _reference import connected_subsets, ref_is_nice
+from _reference import connected_subsets, ordered_is_nice, ref_is_nice
 
 
 def path_graph(n):
@@ -103,6 +105,41 @@ def test_is_nice_matches_powerset_reference():
             assert (got is not None) == expect, (n, k, v, sorted(g.edges))
             if got is not None:
                 check_haven(g, got)
+
+
+def test_is_nice_returns_the_ordered_enumerations_witness():
+    # The pruned search must find the very witness the unpruned enumeration
+    # finds first, not just agree on existence: approx's havens, energies
+    # and tie-breaks all follow from it.  The packing refutation must never
+    # refute a nice vertex.
+    rng = random.Random(8)
+    graphs = [grid_graph(w, h) for w in range(2, 8) for h in range(w, 8)]
+    graphs += [
+        random_connected(rng.randrange(5, 25), rng, rng.choice((0.1, 0.2, 0.3)))
+        for _ in range(50)
+    ]
+    graphs += [random_tree(rng.randrange(5, 41), rng) for _ in range(40)]
+    triples = 0
+    for g in graphs:
+        for k in range(1, 6):
+            for v in range(g.n):
+                got = is_nice(g, v, k)
+                assert got == ordered_is_nice(g, v, k), (sorted(g.edges), v, k)
+                if got is not None:
+                    check_haven(g, got)
+                    assert not _packing_refutes(g, v, k), (sorted(g.edges), v, k)
+                triples += 1
+    assert triples >= 5000
+
+
+def test_packing_refutation_exact_on_trees():
+    rng = random.Random(9)
+    for _ in range(40):
+        g = random_tree(rng.randrange(2, 61), rng)
+        for k in range(2, 6):
+            for v in range(g.n):
+                refuted = _packing_refutes(g, v, k)
+                assert refuted == (ordered_is_nice(g, v, k) is None), (sorted(g.edges), v, k)
 
 
 def test_check_haven_rejects_tampering():
