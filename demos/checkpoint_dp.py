@@ -10,7 +10,6 @@ from coordmp import (
     Instance,
     Robot,
     build_nice_td,
-    render_td,
     solve_exact,
     solve_twdp,
 )
@@ -28,8 +27,6 @@ def main():
         kinds[node.kind] = kinds.get(node.kind, 0) + 1
     print(f"nice decomposition: width {td.width} "
           f"(bare graph width {td.base_width}), nodes by kind: {kinds}")
-    print(render_td(td).splitlines()[0], "... ({} lines)".format(
-        len(render_td(td).splitlines())))
 
     oracle = solve_exact(inst)
     print(f"exact search optimum: {oracle.energy}")

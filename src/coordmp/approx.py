@@ -67,12 +67,15 @@ class RestrictionResult:
     """Budget-ball preprocessing outcome.
 
     When ``no_instance`` is true the budget is provably insufficient and no
-    sub-instance exists; otherwise ``instance`` is the restriction and
-    ``vertex_map`` sends original vertex ids to sub-instance ids.
+    sub-instance exists; otherwise ``instance`` is the restriction,
+    ``vertex_map`` sends original vertex ids to sub-instance ids and
+    ``robot_map`` sends the ids of the kept robots to their sub-instance
+    ids, which are 0..k-1 in the original order.
     """
 
     instance: Instance | None
     vertex_map: dict[int, int] = field(default_factory=dict)
+    robot_map: dict[int, int] = field(default_factory=dict)
     no_instance: bool = False
     reason: str | None = None
 
@@ -580,10 +583,10 @@ def energy_ball_restrict(instance: Instance) -> RestrictionResult:
     """Restrict a budgeted instance to budget-radius balls around movers.
 
     Keeps exactly the vertices within ``budget`` of some robot that must
-    move, drops robots starting outside, and preserves the yes/no answer
-    at the budget.  Returns ``no_instance`` without building anything when
-    more robots must move than the budget allows, or when a single robot's
-    distance already exceeds it.
+    move, drops robots starting outside and renumbers the rest densely,
+    and preserves the yes/no answer at the budget.  Returns ``no_instance``
+    without building anything when more robots must move than the budget
+    allows, or when a single robot's distance already exceeds it.
     """
     if instance.budget is None:
         raise InputError("an energy budget is required")
@@ -613,13 +616,17 @@ def energy_ball_restrict(instance: Instance) -> RestrictionResult:
             v for v, d in enumerate(dist) if d is not None and d <= budget
         )
     sub, _, new_of_old = induced_subgraph(instance.graph, ball_union)
-    kept = tuple(
+    kept = [r for r in instance.robots if r.start in ball_union]
+    robots = tuple(
         Robot(
-            r.id,
+            i,
             new_of_old[r.start],
             new_of_old[r.goal] if r.goal is not None else None,
         )
-        for r in instance.robots
-        if r.start in ball_union
+        for i, r in enumerate(kept)
     )
-    return RestrictionResult(Instance(sub, kept, budget), dict(new_of_old))
+    return RestrictionResult(
+        Instance(sub, robots, budget),
+        dict(new_of_old),
+        {r.id: i for i, r in enumerate(kept)},
+    )

@@ -29,7 +29,7 @@ from coordmp.hardness import parse_mcc, reduce_mcc
 from coordmp.oracle import Limits, default_limits, solve_critical, solve_exact
 from coordmp.render import render_dot, render_frames, render_text_trace
 from coordmp.structure import ClassificationError, classify_vertex
-from coordmp.twdp import parse_td, solve_twdp
+from coordmp.twdp import solve_twdp
 
 EXIT_OK = 0
 EXIT_OVER_BUDGET = 1
@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--state-cap", type=int, help="search state limit")
     solve.add_argument("--checkpoint-budget", type=int,
                        help="twdp only: per-node sequence length cap")
-    solve.add_argument("--td-file", help="twdp only: tree decomposition file")
 
     val = sub.add_parser("validate", help="check a schedule against an instance")
     val.add_argument("-i", "--instance", required=True)
@@ -146,22 +145,14 @@ def _summary(alg: str, energy, status: str) -> None:
     print(f"alg={alg} energy={e} status={status}")
 
 
-_TWDP_OPTIONS = ("checkpoint_budget", "td_file")
-
-
 def _cmd_solve(args) -> int:
-    if args.alg != "twdp":
-        for name in _TWDP_OPTIONS:
-            if getattr(args, name) is not None:
-                flag = "--" + name.replace("_", "-")
-                raise InputError(f"{flag} applies only to --alg twdp")
+    if args.alg != "twdp" and args.checkpoint_budget is not None:
+        raise InputError("--checkpoint-budget applies only to --alg twdp")
     instance = parse_instance(_read(args.instance))
     limits = _limits(args)
     try:
         if args.alg == "twdp":
-            td = None if args.td_file is None else parse_td(_read(args.td_file))
-            result = solve_twdp(instance, args.checkpoint_budget, td=td,
-                                limits=limits)
+            result = solve_twdp(instance, args.checkpoint_budget, limits=limits)
         else:
             result = _SOLVERS[args.alg](instance, limits)
     except InfeasibleError as exc:
@@ -232,6 +223,8 @@ def _cmd_preprocess(args) -> int:
     print(f"preprocess status=ok n={sub.graph.n} k={sub.k}")
     for orig in sorted(result.vertex_map):
         print(f"map {orig} {result.vertex_map[orig]}")
+    for orig in sorted(result.robot_map):
+        print(f"robot {orig} {result.robot_map[orig]}")
     _write(args.out, render_instance(sub))
     return EXIT_OK
 

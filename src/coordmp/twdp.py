@@ -21,14 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from coordmp.core import (
-    Graph,
-    InfeasibleError,
-    InputError,
-    Instance,
-    LimitError,
-    UnsupportedStructureError,
-)
+from coordmp.core import Graph, InputError, Instance, LimitError
 from coordmp.oracle import (
     Limits,
     SearchResult,
@@ -44,8 +37,6 @@ DOWN = -2
 # a cap on generated table entries (LimitError beyond it).
 VISIT_CAP = 2
 DEFAULT_ENTRY_CAP = 200_000
-# Exact elimination search is limited to this many vertices.
-TD_EXACT_LIMIT = 13
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +56,11 @@ class TDNode:
 
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
-    """Rooted nice decomposition with terminals kept in every bag."""
+    """Rooted nice decomposition with terminals kept in every bag.
+
+    ``base_width`` is the width of the min-degree decomposition of the bare
+    graph; ``width`` counts the terminals added to every bag.
+    """
 
     nodes: dict[int, TDNode]
     root: int
@@ -74,63 +69,25 @@ class NiceTreeDecomposition:
     gamma: dict[int, frozenset[int]]
 
 
-def _exact_elimination_order(graph: Graph) -> tuple[list[int], int]:
-    """Minimum-width elimination order via the subset dynamic program."""
-    n = graph.n
-    if n == 0:
-        return [], -1
-    if n > TD_EXACT_LIMIT:
-        raise LimitError(
-            f"exact decomposition supports at most {TD_EXACT_LIMIT} vertices "
-            f"(got {n}); supply a decomposition file instead"
-        )
-    adj = [set(graph.neighbors(v)) for v in range(n)]
+def _min_degree_order(graph: Graph) -> list[int]:
+    """Greedy min-degree elimination order, ties to the lowest id.
 
-    def reach_count(mask: int, v: int) -> int:
-        # Vertices outside mask∪{v} reachable from v through mask.
-        seen = 1 << v
-        stack = [v]
-        count = 0
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                bit = 1 << w
-                if seen & bit:
-                    continue
-                seen |= bit
-                if mask & bit:
-                    stack.append(w)
-                else:
-                    count += 1
-        return count
-
-    best = {0: -1}
-    choice: dict[int, int] = {}
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            value, pick = None, None
-            sub = mask
-            for v in range(n):
-                bit = 1 << v
-                if not mask & bit:
-                    continue
-                rest = mask ^ bit
-                cand = max(best[rest], reach_count(rest, v))
-                if value is None or cand < value or (cand == value and v < pick):
-                    value, pick = cand, v
-            best[mask] = value
-            choice[mask] = pick
-    order_rev = []
-    mask = (1 << n) - 1
-    while mask:
-        v = choice[mask]
-        order_rev.append(v)
-        mask ^= 1 << v
-    order = order_rev[::-1]
-    return order, best[(1 << n) - 1]
+    Each step eliminates a vertex of least degree in the current fill graph
+    and makes its neighbours a clique (Bodlaender & Koster, "Treewidth
+    Computations I. Upper Bounds", 2010).  Polynomial, exact on forests,
+    an upper bound on the treewidth in general.
+    """
+    adj = [set(graph.neighbors(v)) for v in range(graph.n)]
+    remaining = set(range(graph.n))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        for u in adj[v]:
+            adj[u] |= adj[v] - {u}
+            adj[u].discard(v)
+        remaining.remove(v)
+        order.append(v)
+    return order
 
 
 def _elimination_bags(graph: Graph, order: list[int]):
@@ -175,18 +132,19 @@ class _Builder:
 def build_nice_td(graph: Graph, terminals) -> NiceTreeDecomposition:
     """Nice tree decomposition with the terminal set kept in every bag.
 
-    The underlying decomposition has exact minimum width (computed by the
-    elimination-order subset search, hence limited to small graphs); its
-    bags are then augmented with the terminals, and leaf and root bags
-    equal the terminal set.  Raises LimitError on graphs too large for the
-    exact search, with the advice to supply a decomposition file.
+    The underlying decomposition comes from a greedy min-degree elimination
+    order, so it is built in polynomial time on any graph; its width
+    (``base_width``) is an upper bound on the treewidth, not always the
+    minimum.  Its bags are then augmented with the terminals, and leaf and
+    root bags equal the terminal set.
     """
     terminals = frozenset(terminals)
     for t in terminals:
         if not 0 <= t < graph.n:
             raise InputError(f"terminal {t} out of range")
-    order, base_width = _exact_elimination_order(graph)
+    order = _min_degree_order(graph)
     bags, parent_vertex = _elimination_bags(graph, order)
+    base_width = max((len(bag) for bag in bags.values()), default=0) - 1
     children_of: dict[int, list[int]] = {v: [] for v in order}
     roots = []
     for v in order:
@@ -195,19 +153,20 @@ def build_nice_td(graph: Graph, terminals) -> NiceTreeDecomposition:
         else:
             roots.append(v)
     builder = _Builder()
-
-    def build_vertex(v: int) -> int:
+    # A vertex comes after its children in the elimination order, so every
+    # child subtree is built before its parent's bag (and no recursion).
+    top_of: dict[int, int] = {}
+    for v in order:
         bag = frozenset(bags[v] | terminals)
-        kids = [builder.chain_to(build_vertex(c), bag) for c in sorted(children_of[v])]
+        kids = [builder.chain_to(top_of.pop(c), bag) for c in sorted(children_of[v])]
         if not kids:
-            leaf = builder.add("leaf", terminals)
-            return builder.chain_to(leaf, bag)
+            kids = [builder.chain_to(builder.add("leaf", terminals), bag)]
         nid = kids[0]
         for other in kids[1:]:
             nid = builder.add("join", bag, (nid, other))
-        return nid
+        top_of[v] = nid
 
-    tops = [builder.chain_to(build_vertex(r), terminals) for r in sorted(roots)]
+    tops = [builder.chain_to(top_of[r], terminals) for r in sorted(roots)]
     if not tops:
         tops = [builder.add("leaf", terminals)]
     top = tops[0]
@@ -216,24 +175,18 @@ def build_nice_td(graph: Graph, terminals) -> NiceTreeDecomposition:
     root = builder.add("root", terminals, (top,))
     nodes = builder.nodes
     width = max(len(n.bag) for n in nodes.values()) - 1
-    gamma = _compute_gamma(nodes, root)
+    gamma = _compute_gamma(nodes)
     td = NiceTreeDecomposition(nodes, root, width, base_width, gamma)
     validate_td(td, graph, terminals)
     return td
 
 
-def _compute_gamma(nodes, root):
+def _compute_gamma(nodes):
+    """Vertices in each node's subtree; children have lower ids."""
     gamma: dict[int, frozenset[int]] = {}
-
-    def rec(nid):
+    for nid in sorted(nodes):
         node = nodes[nid]
-        acc = set(node.bag)
-        for c in node.children:
-            rec(c)
-            acc |= gamma[c]
-        gamma[nid] = frozenset(acc)
-
-    rec(root)
+        gamma[nid] = node.bag.union(*(gamma[c] for c in node.children))
     return gamma
 
 
@@ -322,76 +275,6 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
             raise InputError(f"node {node.id}: unknown kind {kind!r}")
     if nodes[td.root].kind != "root":
         raise InputError("root node must have kind root")
-
-
-def render_td(td: NiceTreeDecomposition) -> str:
-    """Serialize a decomposition in the td text format."""
-    lines = ["td 1"]
-    for nid in sorted(td.nodes):
-        node = td.nodes[nid]
-        bag = " ".join(str(v) for v in sorted(node.bag))
-        lines.append(f"node {nid} {node.kind} {bag}".rstrip())
-    for nid in sorted(td.nodes):
-        for c in td.nodes[nid].children:
-            lines.append(f"edge {nid} {c}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_td(text: str) -> NiceTreeDecomposition:
-    """Parse the td text format (header, node lines, parent-child edges)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "td 1":
-        raise InputError("decomposition file must start with 'td 1'")
-    raw: dict[int, tuple[str, frozenset[int]]] = {}
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "node":
-            if len(parts) < 3:
-                raise InputError(f"malformed node line: {ln!r}")
-            try:
-                nid = int(parts[1])
-                bag = frozenset(int(x) for x in parts[3:])
-            except ValueError:
-                raise InputError(f"malformed node line: {ln!r}") from None
-            if nid in raw:
-                raise InputError(f"duplicate node id {nid}")
-            raw[nid] = (parts[2], bag)
-        elif parts[0] == "edge":
-            if len(parts) != 3:
-                raise InputError(f"malformed edge line: {ln!r}")
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise InputError(f"malformed edge line: {ln!r}") from None
-        else:
-            raise InputError(f"unknown line kind: {ln!r}")
-    children: dict[int, list[int]] = {nid: [] for nid in raw}
-    has_parent = set()
-    for p, c in edges:
-        if p not in raw or c not in raw:
-            raise InputError(f"edge ({p}, {c}) references unknown node")
-        children[p].append(c)
-        if c in has_parent:
-            raise InputError(f"node {c} has two parents")
-        has_parent.add(c)
-    roots = [nid for nid in raw if nid not in has_parent]
-    if len(roots) != 1:
-        raise InputError(f"expected exactly one root, found {len(roots)}")
-    nodes = {}
-    for nid, (kind, bag) in raw.items():
-        vertex = None
-        kids = children[nid]
-        if kind in ("introduce", "forget") and len(kids) == 1:
-            other = raw[kids[0]][1]
-            delta = (bag ^ other)
-            if len(delta) == 1:
-                vertex = next(iter(delta))
-        nodes[nid] = TDNode(nid, kind, bag, tuple(kids), vertex)
-    root = roots[0]
-    width = max(len(n.bag) for n in nodes.values()) - 1
-    gamma = _compute_gamma(nodes, root)
-    return NiceTreeDecomposition(nodes, root, width, width, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +406,6 @@ class DPTable:
         cur = self.entries.get(seq)
         if cur is None or value < cur:
             self.entries[seq] = value
-
-
-def _default_rho(instance: Instance) -> int:
-    return max(1, instance.graph.n**3 * max(1, instance.k))
 
 
 def _end_ok(tup, instance: Instance) -> bool:
@@ -922,40 +801,42 @@ def solve_twdp(
     instance: Instance,
     checkpoint_budget: int | None = None,
     *,
-    td: NiceTreeDecomposition | None = None,
     limits: Limits | None = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> SearchResult:
     """Energy optimum via the checkpoint-sequence dynamic program.
 
-    ``checkpoint_budget`` caps the tuple length of every per-node sequence
-    (default ``4k(w+1)``).  The returned status is ``optimal`` only when an
-    independent exact run confirms the value (or the instance is trivial);
-    otherwise ``budget-limited`` admits that a larger budget might find a
-    cheaper schedule.  With a budget present on the instance, a confirmed
-    value above it reports ``budget-exceeded``.
+    The exact oracle runs first, under ``limits``, on the instance without
+    its budget; that certificate bounds every table (``rho``).  When it is
+    not ``optimal`` (``infeasible`` or ``state-limit``) it is returned as
+    is and no table is built.  ``checkpoint_budget`` caps the tuple length
+    of every per-node sequence (default ``4k(w+1)``).  The status is
+    ``optimal`` (or ``budget-exceeded`` when that optimum is above the
+    instance budget) only when the DP value equals the certificate;
+    otherwise ``budget-limited`` admits that a larger budget might find it.
+    ``states_expanded`` is the certificate's.
     """
+    if checkpoint_budget is not None and checkpoint_budget < 2:
+        raise InputError("checkpoint budget must be at least 2")
     limits = limits or default_limits()
     if instance.k == 0 or all(
         r.goal is None or r.goal == r.start for r in instance.robots
     ):
         return _trivial_result(instance)
+    certificate = solve_exact(Instance(instance.graph, instance.robots), limits)
+    if certificate.status != "optimal":
+        return certificate
+    rho = certificate.energy
     terminals = frozenset(
         {r.start for r in instance.robots}
         | {r.goal for r in instance.robots if r.goal is not None}
     )
-    if td is None:
-        td = build_nice_td(instance.graph, terminals)
-    else:
-        validate_td(td, instance.graph, terminals)
+    td = build_nice_td(instance.graph, terminals)
     budget = (
         checkpoint_budget
         if checkpoint_budget is not None
         else 4 * instance.k * (td.width + 1)
     )
-    if budget < 2:
-        raise InputError("checkpoint budget must be at least 2")
-    rho = _upper_bound(instance, limits)
     pairs_budget = budget // 2
     exterior_of = {
         nid: frozenset(
@@ -965,13 +846,20 @@ def solve_twdp(
         )
         for nid in td.nodes
     }
+    # Children before parents, left subtree before right, without recursion:
+    # the reverse of a pre-order that visits the right child first.
+    preorder, stack = [], [td.root]
+    while stack:
+        nid = stack.pop()
+        preorder.append(nid)
+        stack.extend(td.nodes[nid].children)
+    tables: dict[int, DPTable] = {}
     # Every leaf has the terminal set as its bag and as its whole subtree,
     # so every leaf has the same table; it is built once per solve.
     leaf_table: DPTable | None = None
-
-    def compute(nid: int) -> DPTable:
-        nonlocal leaf_table
+    for nid in reversed(preorder):
         node = td.nodes[nid]
+        kids = [tables.pop(c) for c in node.children]
         if node.kind == "leaf":
             if leaf_table is None:
                 leaf_table = dp_leaf(
@@ -984,56 +872,36 @@ def solve_twdp(
                 )
             table = leaf_table
         elif node.kind == "introduce":
-            child = compute(node.children[0])
             table = dp_introduce(
                 node,
-                child,
+                kids[0],
                 instance=instance,
                 budget=budget,
                 exterior=exterior_of[nid],
                 entry_cap=entry_cap,
             )
         elif node.kind == "forget":
-            child = compute(node.children[0])
-            table = dp_forget(node, child, pairs_budget, instance=instance)
+            table = dp_forget(node, kids[0], pairs_budget, instance=instance)
         elif node.kind == "join":
-            left = compute(node.children[0])
-            right = compute(node.children[1])
             table = dp_join(
-                node, left, right, instance=instance, exterior=exterior_of[nid]
+                node, kids[0], kids[1], instance=instance, exterior=exterior_of[nid]
             )
-        elif node.kind == "root":
-            table = compute(node.children[0])
-        else:
-            raise InputError(f"unknown node kind {node.kind!r}")
+        else:  # root
+            table = kids[0]
         if len(table.entries) > entry_cap:
             raise LimitError(
                 "checkpoint table exceeded the entry cap; lower the budget "
                 "or raise entry_cap"
             )
-        return table
-
-    root_table = compute(td.root)
+        tables[nid] = table
+    root_table = tables[td.root]
     finite = [
         value for seq, value in root_table.entries.items() if not _has_up(seq)
     ]
     value = min(finite) if finite else None
-    states = len(root_table.entries)
-    reference = solve_exact(Instance(instance.graph, instance.robots), limits)
-    if value is None:
-        status = "infeasible" if reference.status == "infeasible" else "budget-limited"
-        return SearchResult(status, None, None, states)
-    if reference.status == "optimal" and reference.energy == value:
-        if instance.budget is not None and value > instance.budget:
-            return SearchResult("budget-exceeded", value, None, states)
-        return SearchResult("optimal", value, None, states)
-    return SearchResult("budget-limited", value, None, states)
-
-
-def _upper_bound(instance: Instance, limits: Limits) -> int:
-    from coordmp.approx import approximate
-
-    try:
-        return approximate(instance, limits).energy
-    except (InfeasibleError, LimitError, UnsupportedStructureError):
-        return _default_rho(instance)
+    states = certificate.states_expanded
+    if value != rho:
+        return SearchResult("budget-limited", value, None, states)
+    if instance.budget is not None and value > instance.budget:
+        return SearchResult("budget-exceeded", value, None, states)
+    return SearchResult("optimal", value, None, states)

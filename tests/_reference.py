@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from itertools import combinations, product
 
-from coordmp.core import Graph, InputError, Instance, Route, Schedule
+from coordmp.core import Graph, InputError, Instance, LimitError, Route, Schedule
 from coordmp.structure import Haven, _make_haven
 
 
@@ -232,3 +232,65 @@ def apply_steps(positions: dict[int, int], steps) -> dict[int, int]:
             occ[v] = robot
             pos[robot] = v
     return pos
+
+
+# The subset dynamic program below keeps one entry per vertex subset.
+TD_EXACT_LIMIT = 13
+
+
+def exact_elimination_order(graph: Graph) -> tuple[list[int], int]:
+    """Minimum-width elimination order via the subset dynamic program."""
+    n = graph.n
+    if n == 0:
+        return [], -1
+    if n > TD_EXACT_LIMIT:
+        raise LimitError(
+            f"exact decomposition supports at most {TD_EXACT_LIMIT} vertices "
+            f"(got {n})"
+        )
+    adj = [set(graph.neighbors(v)) for v in range(n)]
+
+    def reach_count(mask: int, v: int) -> int:
+        # Vertices outside mask∪{v} reachable from v through mask.
+        seen = 1 << v
+        stack = [v]
+        count = 0
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                bit = 1 << w
+                if seen & bit:
+                    continue
+                seen |= bit
+                if mask & bit:
+                    stack.append(w)
+                else:
+                    count += 1
+        return count
+
+    best = {0: -1}
+    choice: dict[int, int] = {}
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        masks_by_size[bin(mask).count("1")].append(mask)
+    for size in range(1, n + 1):
+        for mask in masks_by_size[size]:
+            value, pick = None, None
+            for v in range(n):
+                bit = 1 << v
+                if not mask & bit:
+                    continue
+                rest = mask ^ bit
+                cand = max(best[rest], reach_count(rest, v))
+                if value is None or cand < value or (cand == value and v < pick):
+                    value, pick = cand, v
+            best[mask] = value
+            choice[mask] = pick
+    order_rev = []
+    mask = (1 << n) - 1
+    while mask:
+        v = choice[mask]
+        order_rev.append(v)
+        mask ^= 1 << v
+    order = order_rev[::-1]
+    return order, best[(1 << n) - 1]

@@ -456,6 +456,7 @@ def test_ball_radius_two_on_long_path():
     assert sub.graph.n == 3  # ball of radius 2 around vertex 0
     assert sorted(res.vertex_map) == [0, 1, 2]
     assert [r.id for r in sub.robots] == [0]  # the distant free robot is dropped
+    assert res.robot_map == {0: 0}
     assert solve_exact(sub).energy == 2
     assert sub.budget == 2
 

@@ -7,7 +7,6 @@ import pytest
 from coordmp.cli import ALGORITHMS, main
 from coordmp.core import parse_instance, parse_schedule, validate_schedule
 from coordmp.hardness import MulticoloredGraph, render_mcc
-from coordmp.twdp import build_nice_td, render_td
 
 P3_BUDGET2 = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 2\n"
 P3_TIGHT = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 1\n"
@@ -109,33 +108,25 @@ def test_solver_schedules_revalidate_from_disk(tmp_path, capsys):
 
 def test_solve_twdp_summary(tmp_path, capsys):
     inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
-    graph = parse_instance(P3_BUDGET2).graph
-    td = _file(tmp_path, "p3.td", render_td(build_nice_td(graph, {0, 2})))
-    for extra in ((), ("--td-file", td)):
-        code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst, *extra)
-        assert code == 0
-        assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
-    # A decomposition built for other terminals is rejected as input.
-    wrong = _file(tmp_path, "wrong.td", render_td(build_nice_td(graph, {1})))
-    code, _, err = run(capsys, "solve", "--alg", "twdp", "-i", inst,
-                       "--td-file", wrong)
-    assert code == 3 and "input error" in err
+    code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst)
+    assert code == 0
+    assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
 
 
 def test_twdp_options_rejected_for_other_algorithms(tmp_path, capsys):
     inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
-    missing = str(tmp_path / "missing.td")
     for alg in ("oracle", "critical", "gcmp1", "approx"):
-        for extra in (("--td-file", missing), ("--checkpoint-budget", "8")):
+        code, out, err = run(capsys, "solve", "--alg", alg, "-i", inst,
+                             "--checkpoint-budget", "8")
+        assert code == 3, alg
+        assert out == "" and "--checkpoint-budget applies only to --alg twdp" in err
+    # The visit cap is a constant and twdp builds its own decomposition:
+    # no algorithm takes either flag.
+    for alg in ALGORITHMS:
+        for extra in (("--visit-cap", "3"), ("--td-file", "x.td")):
             code, out, err = run(capsys, "solve", "--alg", alg, "-i", inst,
                                  *extra)
-            assert code == 3, (alg, extra)
-            assert out == "" and f"{extra[0]} applies only to --alg twdp" in err
-    # The visit cap is a constant: no algorithm takes the flag.
-    for alg in ALGORITHMS:
-        code, out, err = run(capsys, "solve", "--alg", alg, "-i", inst,
-                             "--visit-cap", "3")
-        assert code == 3 and out == "" and "--visit-cap" in err, alg
+            assert code == 3 and out == "" and extra[0] in err, (alg, extra)
     code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst,
                        "--checkpoint-budget", "8")
     assert code == 0
@@ -144,10 +135,12 @@ def test_twdp_options_rejected_for_other_algorithms(tmp_path, capsys):
 
 def test_solve_state_cap_exit_4(tmp_path, capsys):
     inst = _file(tmp_path, "p4.gcmp", P4_ONE_MOVER)
-    code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", inst,
-                       "--state-cap", "1")
-    assert code == 4
-    assert "status=state-limit" in out
+    # twdp returns its oracle certificate's state-limit.
+    for alg in ("oracle", "twdp"):
+        code, out, _ = run(capsys, "solve", "--alg", alg, "-i", inst,
+                           "--state-cap", "1")
+        assert code == 4, alg
+        assert out.splitlines()[0] == f"alg={alg} energy=- status=state-limit"
 
 
 def test_state_cap_env_honored(tmp_path, capsys, monkeypatch):
@@ -226,6 +219,22 @@ def test_preprocess_energy_ball(tmp_path, capsys):
     assert code == 1 and "status=no-instance" in out
     code, _, _ = run(capsys, "preprocess", "-i", inst)
     assert code == 3  # no preprocessing selected
+
+
+def test_preprocess_output_solves_with_dropped_low_id_robot(tmp_path, capsys):
+    # Robot 0 starts outside the budget ball and is dropped; robot 1 is
+    # written as robot 0 so the sub-instance parses.
+    edges = "".join(f"e {i} {i + 1}\n" for i in range(9))
+    inst = _file(tmp_path, "p10.gcmp",
+                 f"gcmp 1\nn 10\n{edges}r 0 9 -\nr 1 0 1\nbudget 1\n")
+    sub = str(tmp_path / "sub.gcmp")
+    code, out, _ = run(capsys, "preprocess", "--energy-ball", "-i", inst,
+                       "-o", sub)
+    assert code == 0
+    assert out.splitlines()[-1] == "robot 1 0"
+    code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", sub)
+    assert code == 0
+    assert out.splitlines()[0] == "alg=oracle energy=1 status=optimal"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+import coordmp.approx
 import coordmp.twdp
+from _reference import exact_elimination_order
 from coordmp.core import Graph, InputError, Instance, LimitError, Robot
+from coordmp.generators import generate, grid_graph, random_connected
 from coordmp.oracle import Limits, solve_exact
 from coordmp.twdp import (
     DOWN,
@@ -15,8 +18,6 @@ from coordmp.twdp import (
     dp_introduce,
     dp_leaf,
     is_good_sequence,
-    parse_td,
-    render_td,
     sequence_violations,
     solve_twdp,
     validate_td,
@@ -71,38 +72,35 @@ def test_td_base_width_tree_and_cycle():
     assert build_nice_td(cycle_graph(5), {0, 2}).base_width == 2
 
 
-def test_td_too_large_raises():
-    g = path_graph(14)
-    with pytest.raises(LimitError, match="decomposition file"):
-        build_nice_td(g, {0, 13})
+def test_td_builds_past_the_old_exact_limit():
+    # The subset search stopped at 13 vertices; min-degree has no cap.
+    assert build_nice_td(path_graph(30), {0, 29}).base_width == 1
+    assert build_nice_td(grid_graph(15, 2), {0, 29}).base_width == 2
 
 
-def test_td_round_trip():
-    g = star_graph(4)
-    td = build_nice_td(g, {1, 2})
-    parsed = parse_td(render_td(td))
-    assert parsed.root == td.root
-    for nid, node in td.nodes.items():
-        assert parsed.nodes[nid].kind == node.kind
-        assert parsed.nodes[nid].bag == node.bag
-        assert parsed.nodes[nid].children == node.children
-    validate_td(parsed, g, {1, 2})
-
-
-def test_td_parse_rejects_malformed():
-    with pytest.raises(InputError, match="td 1"):
-        parse_td("node 0 leaf 0\n")
-    with pytest.raises(InputError, match="duplicate"):
-        parse_td("td 1\nnode 0 leaf 0\nnode 0 leaf 1\n")
-    with pytest.raises(InputError, match="root"):
-        parse_td("td 1\nnode 0 leaf 0\nnode 1 leaf 0\n")
-    with pytest.raises(InputError, match="unknown node"):
-        parse_td("td 1\nnode 0 leaf 0\nedge 0 7\n")
-    with pytest.raises(InputError, match="two parents"):
-        parse_td(
-            "td 1\nnode 0 root 0\nnode 1 forget 0\nnode 2 leaf 0\n"
-            "edge 0 2\nedge 1 2\n"
-        )
+def test_td_min_degree_width_against_exact_reference():
+    """Min-degree is exact on trees and 1xw / 2xw grids.  On sparse random
+    graphs it is an upper bound that exceeds the exact width rarely and by
+    one at most."""
+    rng = random.Random(9)
+    exact_families = [random_tree(rng, n) for n in range(4, 13) for _ in range(12)]
+    exact_families += [grid_graph(w, 1) for w in range(1, 13)]
+    exact_families += [grid_graph(w, 2) for w in range(1, 7)]
+    for g in exact_families:
+        assert build_nice_td(g, ()).base_width == exact_elimination_order(g)[1]
+    sparse = [
+        random_connected(n, rng, p)
+        for n in range(4, 13)
+        for p in (0.1, 0.15)
+        for _ in range(8)
+    ]
+    excess = [
+        build_nice_td(g, ()).base_width - exact_elimination_order(g)[1]
+        for g in sparse
+    ]
+    assert len(exact_families) + len(sparse) >= 250
+    assert set(excess) <= {0, 1}
+    assert sum(excess) <= len(sparse) // 20
 
 
 def test_validate_td_rejects_broken_axioms():
@@ -285,8 +283,11 @@ def test_solve_free_robot_must_step_aside():
     g = star_graph(4)
     inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)))
     res = solve_twdp(inst, 12)
+    certificate = solve_exact(inst)
     assert res.status == "optimal"
-    assert res.energy == solve_exact(inst).energy == 3
+    assert res.energy == certificate.energy == 3
+    # states_expanded means the same in every solver: the oracle's work.
+    assert res.states_expanded == certificate.states_expanded > 0
 
 
 def test_solve_infeasible_swap():
@@ -316,23 +317,59 @@ def test_solve_trivial_all_home():
     assert res.schedule is not None and res.schedule.horizon == 0
 
 
-def test_upper_bound_runs_under_callers_limits(monkeypatch):
-    import coordmp.approx
-
+def test_certificate_runs_once_under_callers_limits(monkeypatch):
     seen = []
-    real = coordmp.approx.approximate
+    real = coordmp.twdp.solve_exact
 
     def spy(instance, limits=None):
-        seen.append(limits)
+        seen.append((instance.budget, limits))
         return real(instance, limits)
 
-    monkeypatch.setattr(coordmp.approx, "approximate", spy)
+    def no_approx(*args, **kwargs):
+        raise AssertionError("twdp must not run approximate")
+
+    monkeypatch.setattr(coordmp.twdp, "solve_exact", spy)
+    monkeypatch.setattr(coordmp.approx, "approximate", no_approx)
     limits = Limits(max_states=5_000)
     g = star_graph(4)
-    res = solve_twdp(Instance(g, (Robot(0, 1, 2), Robot(1, 0, None))), 12,
-                     limits=limits)
-    assert res.status == "optimal" and res.energy == 3
-    assert seen == [limits]
+    inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)), budget=2)
+    res = solve_twdp(inst, 12, limits=limits)
+    assert (res.status, res.energy) == ("budget-exceeded", 3)
+    assert seen == [(None, limits)]  # one run, on the budget-stripped instance
+
+
+def test_unconfirmed_certificate_builds_no_table(monkeypatch):
+    def no_leaf(*args, **kwargs):
+        raise AssertionError("no DP table may be built")
+
+    monkeypatch.setattr(coordmp.twdp, "dp_leaf", no_leaf)
+    g = path_graph(6)
+    inst = Instance(g, (Robot(0, 0, 5), Robot(1, 1, 4)))
+    capped = solve_twdp(inst, 8, limits=Limits(max_states=1))
+    assert (capped.status, capped.energy) == ("state-limit", None)
+    swap = solve_twdp(Instance(g, (Robot(0, 0, 5), Robot(1, 5, 0))), 8)
+    assert (swap.status, swap.energy) == ("infeasible", None)
+
+
+def test_solve_matches_oracle_past_the_old_exact_limit():
+    """2xw ladders (n 14-30) and random trees (n 30) reach the DP; every
+    answer it certifies is the oracle's."""
+    cases = {
+        ("ladder", w, s): generate("grid", width=w, height=2, robots=2, seed=s)
+        for w in range(7, 16)
+        for s in (0, 1)
+    }
+    for s in range(4):
+        cases["tree", 30, s] = generate("random-tree", n=30, robots=2, seed=s)
+    results = {key: solve_twdp(inst, 8) for key, inst in cases.items()}
+    for key, res in results.items():
+        if res.status != "budget-limited":
+            oracle = solve_exact(cases[key])
+            assert (res.status, res.energy) == (oracle.status, oracle.energy), key
+    certified = [r for r in results.values() if r.status != "budget-limited"]
+    assert len(certified) >= 5
+    ladder = results["ladder", 15, 0]
+    assert (ladder.status, ladder.energy) == ("optimal", 5)
 
 
 def test_solve_rejects_tiny_checkpoint_budget():
@@ -354,17 +391,6 @@ def test_solve_budget_monotone_and_converges():
             assert res.energy >= oracle
             prev = res.energy
     assert prev == oracle
-
-
-def test_solve_with_explicit_td():
-    g = path_graph(3)
-    inst = Instance(g, (Robot(0, 0, 2),))
-    td = build_nice_td(g, {0, 2})
-    res = solve_twdp(inst, 8, td=td)
-    assert res.status == "optimal" and res.energy == 2
-    wrong = build_nice_td(g, {0, 1})
-    with pytest.raises(InputError):
-        solve_twdp(inst, 8, td=wrong)
 
 
 def test_solve_audit_mode(monkeypatch):
@@ -416,11 +442,11 @@ def test_solve_builds_one_leaf_table(monkeypatch):
     monkeypatch.setattr(coordmp.twdp, "dp_leaf", counting_leaf)
     g = star_graph(5)
     inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)))
-    td = build_nice_td(g, {0, 1, 2})
+    td = build_nice_td(g, {0, 1, 2})  # the decomposition the solve builds
     assert sum(1 for n in td.nodes.values() if n.kind == "leaf") > 1
     for _ in range(2):  # the table belongs to one solve, not to the next
         calls.clear()
-        res = solve_twdp(inst, 12, td=td)
+        res = solve_twdp(inst, 12)
         assert res.status == "optimal" and res.energy == solve_exact(inst).energy
         assert len(calls) == 1
 
