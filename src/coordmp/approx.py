@@ -327,15 +327,7 @@ class _Pipeline:
         while waiting:
             progressed = False
             for rid in list(waiting):
-                target = min(
-                    self.havens,
-                    key=lambda h: (
-                        self.center_dist[h.center][self.pos[rid]]
-                        if self.center_dist[h.center][self.pos[rid]] is not None
-                        else self.graph.n + 1,
-                        h.center,
-                    ),
-                )
+                target = self.member_index[self.haven_depth(self.pos[rid])[1]]
                 outside = {
                     self.pos[o]
                     for o in self.pos
@@ -400,10 +392,9 @@ class _Pipeline:
 
 
 def _solve_component(graph, robots, limits) -> list[MoveStep]:
+    """Steps for one component's robots, at least one of which must move."""
     if len(robots) == 1:
         robot = robots[0]
-        if robot.goal is None or robot.goal == robot.start:
-            return []
         path = shortest_path(graph, robot.start, robot.goal)
         return [((robot.id, a, b),) for a, b in zip(path, path[1:])]
     k = len(robots)
@@ -504,17 +495,6 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
                 f"robot {r.id}: goal {r.goal} unreachable from start {r.start}"
             )
         lower_bound += d
-    if all(r.start == r.goal for r in instance.movers):
-        return _report(
-            instance,
-            Schedule(tuple(Route((r.start,)) for r in instance.robots)),
-            lower_bound,
-        )
-    if instance.k == 1:
-        path = shortest_path(
-            instance.graph, instance.robots[0].start, instance.robots[0].goal
-        )
-        return _report(instance, Schedule((Route(tuple(path)),)), lower_bound)
     comp_of = {}
     comps = connected_components(instance.graph)
     for ci, comp in enumerate(comps):

@@ -162,15 +162,7 @@ def _cmd_solve(args) -> int:
     _summary(args.alg, result.energy, result.status)
     if result.schedule is not None:
         _write(args.out, render_schedule(result.schedule))
-    if (
-        result.status == "budget-limited"
-        and result.energy is not None
-        and (instance.budget is None or result.energy <= instance.budget)
-    ):
-        # Uncertified but witnessed: the run found a real schedule at this
-        # energy, which answers "yes" within the budget.
-        return EXIT_OK
-    # state-limit and undecided budget-limited runs end at the limit.
+    # state-limit and budget-limited runs end at the limit.
     return _EXIT_BY_STATUS.get(result.status, EXIT_LIMIT)
 
 
@@ -275,7 +267,10 @@ def _cmd_render(args) -> int:
         _write(args.out, render_text_trace(instance, schedule))
         return EXIT_OK
     out_dir = args.out or "frames"
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {out_dir}: {exc}") from None
     frames = render_frames(instance, schedule)
     for i, frame in enumerate(frames):
         _write(os.path.join(out_dir, f"frame_{i:03d}.svg"), frame)

@@ -449,6 +449,8 @@ def parse_instance(text: str) -> Instance:
         elif kind == "r" and len(parts) == 4:
             robot_tokens.append((lineno, parts[1], parts[2], parts[3]))
         elif kind == "budget" and len(parts) == 2:
+            if budget is not None:
+                raise InputError(f"line {lineno}: duplicate budget")
             try:
                 budget = int(parts[1])
             except ValueError:

@@ -189,12 +189,6 @@ def _decode(code: int, n: int, k: int) -> list[int]:
     return state
 
 
-def _trivial_result(instance: Instance) -> SearchResult:
-    start = tuple(r.start for r in instance.robots)
-    sched = Schedule(tuple(Route((v,)) for v in start))
-    return SearchResult("optimal", 0, sched, 0)
-
-
 def _reconstruct(instance: Instance, table, goal_code: int) -> Schedule:
     chain = [goal_code]
     while table[chain[-1]][1] is not None:

@@ -22,13 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from coordmp.core import Graph, InputError, Instance, LimitError
-from coordmp.oracle import (
-    Limits,
-    SearchResult,
-    _trivial_result,
-    default_limits,
-    solve_exact,
-)
+from coordmp.oracle import Limits, SearchResult, default_limits, solve_exact
 
 UP = -1
 DOWN = -2
@@ -69,17 +63,20 @@ class NiceTreeDecomposition:
     gamma: dict[int, frozenset[int]]
 
 
-def _min_degree_order(graph: Graph) -> list[int]:
-    """Greedy min-degree elimination order, ties to the lowest id.
+def _min_degree_elimination(graph: Graph):
+    """Greedy min-degree elimination order and per-vertex bags.
 
-    Each step eliminates a vertex of least degree in the current fill graph
-    and makes its neighbours a clique (Bodlaender & Koster, "Treewidth
-    Computations I. Upper Bounds", 2010).  Polynomial, exact on forests,
-    an upper bound on the treewidth in general.
+    Each step eliminates a vertex of least degree in the current fill graph,
+    ties to the lowest id, and makes its neighbours a clique (Bodlaender &
+    Koster, "Treewidth Computations I. Upper Bounds", 2010).  A vertex's bag
+    is the vertex plus its fill neighbours when it is eliminated.
+    Polynomial, exact on forests, an upper bound on the treewidth in
+    general.
     """
     adj = [set(graph.neighbors(v)) for v in range(graph.n)]
     remaining = set(range(graph.n))
     order = []
+    bags = {}
     while remaining:
         v = min(remaining, key=lambda u: (len(adj[u]), u))
         for u in adj[v]:
@@ -87,25 +84,8 @@ def _min_degree_order(graph: Graph) -> list[int]:
             adj[u].discard(v)
         remaining.remove(v)
         order.append(v)
-    return order
-
-
-def _elimination_bags(graph: Graph, order: list[int]):
-    """Per-vertex bags and tree links from simulated elimination."""
-    position = {v: i for i, v in enumerate(order)}
-    adj = [set(graph.neighbors(v)) for v in range(graph.n)]
-    bags = {}
-    parent_vertex = {}
-    for v in order:
-        nbs = {u for u in adj[v] if position[u] > position[v]}
-        bags[v] = frozenset({v} | nbs)
-        for a in nbs:
-            for b in nbs:
-                if a != b:
-                    adj[a].add(b)
-        if nbs:
-            parent_vertex[v] = min(nbs, key=lambda u: position[u])
-    return bags, parent_vertex
+        bags[v] = frozenset(adj[v] | {v})
+    return order, bags
 
 
 class _Builder:
@@ -142,14 +122,16 @@ def build_nice_td(graph: Graph, terminals) -> NiceTreeDecomposition:
     for t in terminals:
         if not 0 <= t < graph.n:
             raise InputError(f"terminal {t} out of range")
-    order = _min_degree_order(graph)
-    bags, parent_vertex = _elimination_bags(graph, order)
+    order, bags = _min_degree_elimination(graph)
     base_width = max((len(bag) for bag in bags.values()), default=0) - 1
+    # A vertex's parent is the neighbour in its bag eliminated first after it.
+    position = {v: i for i, v in enumerate(order)}
     children_of: dict[int, list[int]] = {v: [] for v in order}
     roots = []
     for v in order:
-        if v in parent_vertex:
-            children_of[parent_vertex[v]].append(v)
+        if len(bags[v]) > 1:
+            parent = min(bags[v] - {v}, key=lambda u: position[u])
+            children_of[parent].append(v)
         else:
             roots.append(v)
     builder = _Builder()
@@ -595,6 +577,15 @@ def dp_introduce(
     vertex ride existing checkpoints unchanged.  ``exterior`` names the
     vertices with a neighbor outside the node's subtree; the new vertex
     hosts arrivals from above only if it is one.
+
+    Lifting a good entry gives good sequences, so none is re-checked.  The
+    new vertex is no terminal (terminals are in every bag); the lift starts
+    at the child's first tuple and keeps every child coordinate that is a
+    bag vertex (properties 1, 2, 4), and chains pair by pair (3).  Only
+    ``UP`` coordinates turn into the new vertex and back (5).  At most one
+    robot holds it: one enters, from outside or along an edge from a bag
+    neighbour, only while it is empty, and leaves back outside or along an
+    edge to the bag vertex the child's robot enters from outside (6, 7, 8).
     """
     v = node.vertex
     bag = node.bag
@@ -612,16 +603,8 @@ def dp_introduce(
         if counter[0] > entry_cap:
             raise LimitError("introduce lifting exceeded the entry cap")
 
+    starts = tuple(r.start for r in instance.robots)
     for seq, value in child_table.entries.items():
-        states = [seq[0][0]] if seq else [tuple(r.start for r in instance.robots)]
-        for pair in seq:
-            states.append(pair[1])
-
-        def record(chain, mu):
-            lifted = tuple(chain)
-            if is_good_sequence(lifted, bag, g, instance):
-                table.put_min(lifted, value + mu)
-
         def lift(idx, cur, at_v, chain, mu, visits):
             bump()
             if len(chain) > pairs_max:
@@ -629,7 +612,7 @@ def dp_introduce(
             if value + mu > rho:
                 return
             if idx == len(seq):
-                record(chain, mu)
+                table.put_min(tuple(chain), value + mu)
             # Insert a visit event: a robot outside the subtree steps onto
             # the new vertex, or leaves it back outside.  Either move uses
             # an edge leaving the subtree, so the new vertex must have one.
@@ -657,7 +640,6 @@ def dp_introduce(
             # may route through the new vertex instead.
             choice_sets = []
             for i in range(k):
-                ai = cur[i]
                 bi = b[i]
                 opts = []
                 if a[i] == UP and b[i] == UP:
@@ -699,8 +681,7 @@ def dp_introduce(
                 lift(idx + 1, nxt, owner, chain, mu + add, new_visits)
                 chain.pop()
 
-        start_state = states[0]
-        lift(0, start_state, None, [], 0, [0] * k)
+        lift(0, seq[0][0] if seq else starts, None, [], 0, [0] * k)
     return table
 
 
@@ -757,8 +738,12 @@ def dp_join(
     two bag vertices were paid in both children and are refunded once.
     ``exterior`` prunes merged sequences that cross between a bag vertex
     and the outside where no such crossing edge remains.
+
+    Merging good entries gives good sequences, so none is re-checked: a
+    merged bag coordinate equals both children's (properties 1-4, 6-8),
+    and ``_merge_coord`` never turns a child's step into one between
+    ``UP`` and ``DOWN`` (5).
     """
-    g = instance.graph
     k = instance.k
     table = DPTable(min(left_table.rho, right_table.rho))
     by_len: dict[int, list] = {}
@@ -780,8 +765,6 @@ def dp_join(
                         and not _is_symbol(b[j])
                     ):
                         mu += 1
-            if not is_good_sequence(merged, node.bag, g, instance):
-                continue
             table.put_min(merged, h1 + h2 - mu)
     return table
 
@@ -808,23 +791,21 @@ def solve_twdp(
 
     The exact oracle runs first, under ``limits``, on the instance without
     its budget; that certificate bounds every table (``rho``).  When it is
-    not ``optimal`` (``infeasible`` or ``state-limit``) it is returned as
-    is and no table is built.  ``checkpoint_budget`` caps the tuple length
-    of every per-node sequence (default ``4k(w+1)``).  The status is
-    ``optimal`` (or ``budget-exceeded`` when that optimum is above the
-    instance budget) only when the DP value equals the certificate;
-    otherwise ``budget-limited`` admits that a larger budget might find it.
+    not ``optimal`` (``infeasible`` or ``state-limit``), or when its energy
+    is 0 (every robot is home, its zero-step schedule fits any budget), it
+    is returned as is and no table is built.  ``checkpoint_budget`` caps
+    the tuple length of every per-node sequence (default ``4k(w+1)``).
+    The status is ``optimal`` (or ``budget-exceeded`` when that optimum is
+    above the instance budget) only when the DP value equals the
+    certificate; otherwise ``budget-limited`` admits that a larger budget
+    might find it.
     ``states_expanded`` is the certificate's.
     """
     if checkpoint_budget is not None and checkpoint_budget < 2:
         raise InputError("checkpoint budget must be at least 2")
     limits = limits or default_limits()
-    if instance.k == 0 or all(
-        r.goal is None or r.goal == r.start for r in instance.robots
-    ):
-        return _trivial_result(instance)
     certificate = solve_exact(Instance(instance.graph, instance.robots), limits)
-    if certificate.status != "optimal":
+    if certificate.status != "optimal" or certificate.energy == 0:
         return certificate
     rho = certificate.energy
     terminals = frozenset(

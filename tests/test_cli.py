@@ -113,6 +113,19 @@ def test_solve_twdp_summary(tmp_path, capsys):
     assert out.splitlines()[0] == "alg=twdp energy=2 status=optimal"
 
 
+def test_solve_twdp_budget_limited_exit_4(tmp_path, capsys):
+    # At checkpoint budget 8 the DP cannot confirm the certificate on this
+    # 2x7 ladder, so the run reports no energy and ends at the limit.
+    inst = str(tmp_path / "ladder.gcmp")
+    code, _, _ = run(capsys, "gen", "grid", "--w", "7", "--h", "2",
+                     "--robots", "2", "--seed", "2", "-o", inst)
+    assert code == 0
+    code, out, _ = run(capsys, "solve", "--alg", "twdp", "-i", inst,
+                       "--checkpoint-budget", "8")
+    assert code == 4
+    assert out.splitlines() == ["alg=twdp energy=- status=budget-limited"]
+
+
 def test_twdp_options_rejected_for_other_algorithms(tmp_path, capsys):
     inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
     for alg in ("oracle", "critical", "gcmp1", "approx"):
@@ -286,6 +299,16 @@ def test_render_trace_and_frames(tmp_path, capsys):
     assert files == ["frame_000.svg", "frame_001.svg", "frame_002.svg"]
     code, out, _ = run(capsys, "render", "--format", "dot", "-i", inst)
     assert code == 0 and out.startswith("graph gcmp {")
+
+
+def test_render_frames_onto_existing_file_exit_3(tmp_path, capsys):
+    inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
+    sched = _file(tmp_path, "p3.sched", "sched 1 2\nrobot 0: 0 1 2\n")
+    taken = _file(tmp_path, "taken", "not a directory\n")
+    code, out, err = run(capsys, "render", "--format", "frames", "-i", inst,
+                         "-s", sched, "-o", taken)
+    assert code == 3
+    assert out == "" and f"cannot create {taken}" in err
 
 
 def test_render_rejects_invalid_schedule(tmp_path, capsys):

@@ -153,6 +153,15 @@ def test_parse_instance_errors_carry_line_numbers():
         parse_instance("gcmp 1\nn 2\nbogus stuff here\n")
 
 
+def test_parse_instance_rejects_duplicate_count_and_budget():
+    with pytest.raises(InputError, match="line 3: duplicate vertex count"):
+        parse_instance("gcmp 1\nn 3\nn 3\ne 0 1\n")
+    # A later budget line must not silently override an earlier one.
+    text = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 5\nbudget 1\n"
+    with pytest.raises(InputError, match="line 7: duplicate budget"):
+        parse_instance(text)
+
+
 def test_parse_instance_comments_and_blank_lines_ignored():
     text = "# header comment\ngcmp 1\n\nn 2  # two vertices\ne 0 1\nr 0 0 1\n"
     inst = parse_instance(text)

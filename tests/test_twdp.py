@@ -479,3 +479,46 @@ def test_solve_matches_oracle_on_random_instances():
             assert res.status == "infeasible", (g.edges, starts, goals)
         agree += 1
     assert agree >= 25
+
+
+def test_introduce_and_join_tables_are_good_by_construction(monkeypatch):
+    """Introduce and join keep every signature property by construction:
+    on a seeded sweep, every entry they return is a good sequence."""
+    checked = {"dp_introduce": 0, "dp_join": 0}
+
+    def checking(name, real):
+        def step(node, *args, **kwargs):
+            table = real(node, *args, **kwargs)
+            inst = kwargs["instance"]
+            for seq in table.entries:
+                bad = sequence_violations(seq, node.bag, inst.graph, inst)
+                assert bad == [], (name, inst, seq, bad)
+            checked[name] += len(table.entries)
+            return table
+
+        return step
+
+    for name in checked:
+        monkeypatch.setattr(
+            coordmp.twdp, name, checking(name, getattr(coordmp.twdp, name))
+        )
+    rng = random.Random(2610)
+    for solve in range(320):
+        if solve % 3 == 0:
+            g = random_tree(rng, rng.randint(2, 9))
+        elif solve % 3 == 1:
+            g = random_connected_graph(rng, rng.randint(3, 8))
+        else:
+            g = grid_graph(rng.randint(2, 4), 2)
+        k = rng.randint(1, min(3, g.n - 1))
+        starts = rng.sample(range(g.n), k)
+        goals = rng.sample(range(g.n), k)
+        robots = tuple(
+            Robot(i, starts[i], goals[i] if i or rng.random() < 0.8 else None)
+            for i in range(k)
+        )
+        try:
+            solve_twdp(Instance(g, robots), rng.randint(4, 8), entry_cap=20_000)
+        except LimitError:
+            pass
+    assert checked["dp_introduce"] > 1_000 and checked["dp_join"] > 100
