@@ -5,9 +5,10 @@ Three entry points:
 * :func:`approximate` builds a valid schedule whose energy exceeds the
   distance lower bound by an additive term polynomial in the robot count,
   by parking robots in pairwise-disjoint havens and routing the
-  destination-bearing ones through haven detours.
-* :func:`solve_gcmp1` solves single-destination instances exactly by
-  restricting each free robot to a small motion domain.
+  destination-bearing ones through haven detours; a component with no
+  haven nearby is searched exactly, up to the caller's state cap.
+* :func:`solve_gcmp1` solves single-destination instances exactly,
+  confining each free robot to its motion domain.
 * :func:`energy_ball_restrict` shrinks a budgeted instance to the union of
   budget-radius balls around the robots that must move, preserving the
   yes/no answer.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 from coordmp.core import (
     InfeasibleError,
@@ -46,7 +46,6 @@ from coordmp.oracle import (
     Limits,
     SearchResult,
     check_feasible,
-    critical_vertices,
     default_limits,
     solve_critical,
     solve_exact,
@@ -57,9 +56,6 @@ from coordmp.structure import Haven, classify_vertex, compute_motion_domain, is_
 # Every robot endpoint must lie within NICE_RADIUS_FACTOR * k of a nice
 # vertex for the constructive pipeline to apply.
 NICE_RADIUS_FACTOR = 11
-# Free robots in degenerate regions are confined to this many vertices
-# around their start (times k).
-POCKET_DOMAIN_FACTOR = 9
 
 
 @dataclass(frozen=True)
@@ -424,21 +420,17 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
 
 
 def _degenerate_component(graph, robots, offender, k, limits, cache) -> list[MoveStep]:
-    """No haven cover: fall back to the exact corridor-compressed search."""
-    inst = Instance(graph, robots)
-    critical = critical_vertices(inst)
-    estimate = (len(critical) + 2 * k + 2) ** k
-    if estimate <= limits.max_states:
-        result = solve_critical(inst, limits)
-        if result.status == "optimal":
-            return _schedule_to_steps(result.schedule, robots)
-        if result.status == "infeasible":
-            raise InfeasibleError("component goals are unreachable")
+    """No haven cover: solve the component by the corridor-compressed search."""
+    result = solve_critical(Instance(graph, robots), limits)
+    if result.status == "optimal":
+        return _schedule_to_steps(result.schedule, robots)
+    if result.status == "infeasible":
+        raise InfeasibleError("component goals are unreachable")
     tag = classify_vertex(graph, offender, k, nice_cache=cache)
     raise UnsupportedStructureError(
         f"vertex {offender} is farther than {NICE_RADIUS_FACTOR}*k from every "
-        f"nice vertex (classified {tag.kind}) and the exact fallback is out "
-        "of reach",
+        f"nice vertex (classified {tag.kind}) and the exact search of its "
+        f"component hit the state cap of {limits.max_states}",
         tag=tag,
     )
 
@@ -483,8 +475,8 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
     LimitError when a blocked routing's feasibility check or exact search,
     or a haven swap's exact fallback, hits the state cap.  Raises
     UnsupportedStructureError when some robot endpoint has no nice vertex
-    within ``NICE_RADIUS_FACTOR * k`` and the exact fallback is out of
-    reach; such a component is not checked for feasibility.
+    within ``NICE_RADIUS_FACTOR * k`` and ``solve_critical`` on its
+    component runs up to the state cap and stops there undecided.
     """
     limits = limits or default_limits()
     lower_bound = 0
@@ -514,19 +506,14 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
 # single-destination exact solving
 
 
-def _pocket_domain(graph, start, k):
-    """The closest ``9k`` vertices to start, by (distance, id)."""
-    ordered = chain.from_iterable(layers(graph, (start,)))
-    return frozenset(islice(ordered, POCKET_DOMAIN_FACTOR * k))
-
-
 def solve_gcmp1(instance: Instance, limits: Limits | None = None) -> SearchResult:
     """Exact solve when exactly one robot has a destination.
 
-    The destination-bearing robot keeps the full vertex set; each free
-    robot is confined to its motion domain (or, in degenerate regions, to
-    the closest ``9k`` vertices around its start), which preserves the
-    optimum while shrinking the searched configuration space.
+    The mover keeps every vertex, a free robot in another component its
+    start.  A free robot at distance d from the mover's start gets its
+    motion domain for lambda = d + 3k, which is cut only past a vertex of
+    degree >= ``C1*k**4 + k + 1`` or past depth ``C2*(lambda*k + k**4)``;
+    elsewhere, and with no nice vertex within lambda, it is every vertex.
     """
     limits = limits or default_limits()
     movers = instance.movers
@@ -546,12 +533,8 @@ def solve_gcmp1(instance: Instance, limits: Limits | None = None) -> SearchResul
         if d is None:
             # Different component: nothing there ever needs to move.
             domains.append(frozenset({r.start}))
-            continue
-        domain = compute_motion_domain(instance, r.id, d + 3 * k)
-        if domain.applicable:
-            domains.append(domain.vertices)
         else:
-            domains.append(_pocket_domain(instance.graph, r.start, k))
+            domains.append(compute_motion_domain(instance, r.id, d + 3 * k).vertices)
     return solve_restricted(instance, domains, limits)
 
 

@@ -28,7 +28,7 @@ from coordmp.core import (
     validate_schedule,
 )
 from coordmp.generators import generate
-from coordmp.oracle import Limits, check_feasible, solve_exact
+from coordmp.oracle import Limits, check_feasible, solve_critical, solve_exact
 from coordmp.structure import is_nice
 
 from _reference import apply_steps
@@ -73,6 +73,18 @@ def two_star_corridor():
     edges += [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)]
     edges += [(11, i) for i in range(12, 16)]
     return Graph(16, edges)
+
+
+def broom(leaves, k):
+    """Hub 0 with arms 1-2-3-4 and 5-6-7-8 and leaves 9.. on it.
+
+    The mover walks from one arm's end (4) to the other's (8); the k-1 free
+    robots start on the second arm at 5, 6, ..., from the hub outward.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]
+    edges += [(0, v) for v in range(9, 9 + leaves)]
+    robots = [Robot(0, 4, 8)] + [Robot(i, 4 + i, None) for i in range(1, k)]
+    return Instance(Graph(9 + leaves, edges), tuple(robots))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +171,41 @@ def test_approximate_disconnected_components_compose():
 
 
 def test_approximate_unsupported_structure_when_fallback_capped():
+    # No haven on the cycle: the component goes to the exact search, which
+    # needs 3 expanded states; only a cap below that makes approx give up.
     g = cycle_graph(50)
     inst = Instance(g, (Robot(0, 0, 1), Robot(1, 25, 26)))
-    limits = Limits(max_states=300)
+    rep = approximate(inst, Limits(max_states=300))
+    assert rep.status == "ok" and rep.energy == 2
+    assert validate_schedule(inst, rep.schedule).ok
     with pytest.raises(UnsupportedStructureError) as exc:
-        approximate(inst, limits)
+        approximate(inst, Limits(max_states=2))
     assert exc.value.tag.kind == "type4"
+    assert "state cap of 2" in str(exc.value)
+
+
+def test_approximate_gives_up_only_at_the_state_cap():
+    # Paths, cycles and random trees lack havens for most k >= 3, so many
+    # components reach the exact fallback; each refusal must be a search
+    # that really hit the cap, never a component it could answer.
+    limits = Limits(max_states=10_000)
+    refused = answered = 0
+    for kind in ("path", "cycle", "random-tree"):
+        for n in (10, 20, 30):
+            for k in (2, 3, 4):
+                for seed in range(3):
+                    inst = generate(kind, n=n, robots=k, seed=seed)
+                    try:
+                        rep = approximate(inst, limits)
+                    except UnsupportedStructureError:
+                        assert solve_critical(inst, limits).status == "state-limit"
+                        refused += 1
+                    except (InfeasibleError, LimitError):
+                        pass
+                    else:
+                        assert validate_schedule(inst, rep.schedule).ok
+                        answered += 1
+    assert refused > 0 and answered > 0
 
 
 def test_approximate_random_sandwich(capsys):
@@ -421,6 +462,50 @@ def test_gcmp1_random_agreement():
         assert mine.status == ref.status
         assert mine.energy == ref.energy
         done += 1
+
+
+def test_gcmp1_regressions_beyond_nine_k_vertices():
+    # The free robot must give way 17 (path) and 10 (cycle) vertices along,
+    # beyond the 9k vertices nearest its start; both answers are the oracle's.
+    for kind, n, seed, energy in (("path", 26, 6, 40), ("cycle", 33, 0, 21)):
+        inst = generate(kind, n=n, robots=2, free_robots=1, seed=seed)
+        res = solve_gcmp1(inst)
+        assert (res.status, res.energy) == ("optimal", energy)
+        assert validate_schedule(inst, res.schedule).energy == energy
+
+
+def test_gcmp1_path_cycle_agreement():
+    # No nice vertex lies near any free robot here, so each keeps the whole
+    # vertex set; n > 9k lets the mover push one beyond its 9k nearest
+    # vertices.
+    checked = 0
+    for kind in ("path", "cycle"):
+        for k in (2, 3):
+            for n in range(9 * k + 1, 61, 3):
+                for seed in range(5):
+                    inst = generate(kind, n=n, robots=k, free_robots=k - 1, seed=seed)
+                    mine = solve_gcmp1(inst)
+                    ref = solve_exact(inst)
+                    assert (mine.status, mine.energy) == (ref.status, ref.energy), (
+                        kind, n, k, seed,
+                    )
+                    checked += 1
+    assert checked == 250
+
+
+def test_gcmp1_motion_domain_shrinks_broom_search():
+    # The hub's degree passes k**4 + k + 1, so the free robot's domain is
+    # its arm, the hub and the hub's 19 lowest-id neighbours.
+    inst = broom(300, 2)
+    mine = solve_gcmp1(inst)
+    ref = solve_exact(inst)
+    assert (mine.status, mine.energy, mine.states_expanded) == ("optimal", 10, 461)
+    assert (ref.status, ref.energy, ref.states_expanded) == ("optimal", 10, 2725)
+    capped = Limits(max_states=1000)
+    assert solve_exact(inst, capped).status == "state-limit"
+    mine = solve_gcmp1(inst, capped)
+    assert (mine.status, mine.energy) == ("optimal", 10)
+    assert validate_schedule(inst, mine.schedule).ok
 
 
 # ---------------------------------------------------------------------------

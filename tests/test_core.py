@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import random
+from itertools import chain, islice
 
 import pytest
 
-from coordmp.approx import _pocket_domain
 from coordmp.core import (
     ConflictReport,
     Graph,
@@ -267,7 +267,8 @@ def test_pinned_tie_breaks():
     assert shortest_path(g23, 3, 2) == [3, 0, 1, 2]
     # 4x4 grid: 9 closest vertices to 9; distance 2 ties go to ids 1, 4, 6,
     # 11 (found in the order 1, 4, 6, 12, 11, 14).
-    assert _pocket_domain(grid_graph(4, 4), 9, 1) == {1, 4, 5, 6, 8, 9, 10, 11, 13}
+    closest = islice(chain.from_iterable(layers(grid_graph(4, 4), (9,))), 9)
+    assert set(closest) == {1, 4, 5, 6, 8, 9, 10, 11, 13}
     # Degree-3 vertices 1 and 9 are nice for k=1, both at distance 2 from 5.
     g = Graph(12, [(5, 6), (6, 9), (9, 10), (9, 11), (5, 4), (4, 1), (1, 0),
                    (1, 2), (2, 3), (11, 7), (7, 8)])
