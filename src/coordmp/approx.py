@@ -225,8 +225,6 @@ class _Pipeline:
         parts = {rid: self.pos[rid] for rid in self.occupants(haven)}
         to = dict(parts)
         to.update(targets)
-        if to == parts:
-            return
         moves = swap(
             self.graph,
             haven,

@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-o", "--out", help="schedule output path")
     solve.add_argument("--state-cap", type=int, help="search state limit")
     solve.add_argument("--checkpoint-budget", type=int,
-                       help="twdp only: per-node sequence length cap")
+                       help="twdp only: per-node sequence length cap "
+                            "(default and ceiling: twice the oracle's energy)")
 
     val = sub.add_parser("validate", help="check a schedule against an instance")
     val.add_argument("-i", "--instance", required=True)

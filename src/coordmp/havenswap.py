@@ -226,13 +226,15 @@ def swap(
         if state.pos[r] == x
         else (1, t2.depth[state.pos[r]], r)
     )
+    # With nothing blocked an absorb always succeeds: the first tree holds at
+    # least k + 1 vertices and its root holds one of at most k robots.
     for robot in outside:
-        if w in state.occ and not _absorb(state, t1, set()):
-            return fallback()
+        if w in state.occ:
+            _absorb(state, t1, set())
         u = state.pos[robot]
         state.walk(robot, [x, w] if u == x else t2.root_path(u))
-    if w in state.occ and not _absorb(state, t1, set()):
-        return fallback()
+    if w in state.occ:
+        _absorb(state, t1, set())
 
     # Phases 2 and 3 share one episode shape: clear the blockers off the
     # mover's exit path and the destination's root path, parking them in the

@@ -54,11 +54,12 @@ class Limits:
     """Resource limits for configuration searches.
 
     max_states caps expanded states and must be positive.  It bounds
-    memory only through the branching: an exact search reaches 7 to 10
-    states per expanded state and keeps 210 to 240 bytes per reached
-    state (its table and heap entries), about 1.4 KB per expanded state on
-    a 6x6 grid with k=6 and 2.5 KB on an 8x8 grid with k=8 (CPython 3.11,
-    64-bit).
+    memory only through the branching: memory follows reached states, 210
+    to 240 bytes each (table and heap entries), and the number reached per
+    expansion grows with vertex degree.  At ``Limits(40_000)`` a 6x6 grid
+    with k=6 peaks at 1.5 KB of RSS per expanded state, while a broom (a
+    hub with 1,000 leaves and two 4-edge arms, k=3) peaks at 18 KB
+    (CPython 3.11, 64-bit).
     """
 
     max_states: int = DEFAULT_STATE_CAP

@@ -530,32 +530,28 @@ def _project_forget(seq, v):
     return tuple(out)
 
 
-def dp_forget(
-    node: TDNode,
-    child_table: DPTable,
-    budget: int,
-    *,
-    instance: Instance,
-) -> DPTable:
+def dp_forget(node: TDNode, child_table: DPTable) -> DPTable:
     """Forget-node table: drop the forgotten vertex from the child's view.
 
     Each child entry projects to this node's alphabet by renaming the
-    forgotten vertex to DOWN and deleting pairs that become changeless;
-    ``budget`` caps how many pairs a contributing child entry may lose
-    this way (the child's extra boundary interactions with the forgotten
-    vertex).  Projected sequences failing any signature property are
-    discarded.
+    forgotten vertex to DOWN and deleting pairs that become changeless.
+
+    The child table must be built with its node's true exterior, as
+    ``solve_twdp`` builds every table; projecting it then gives good
+    sequences, so none is re-checked.  Every table steps between a bag
+    vertex and ``UP`` only at its exterior (the leaf, the introduce lift
+    and the join filter on it, and a forget keeps its child's exterior
+    minus the forgotten vertex).  A vertex is forgotten only once all its
+    neighbours lie in the child's subtree, so it is not in the child's
+    exterior and no child entry steps between it and ``UP``.  Renaming it
+    to ``DOWN`` could break properties 2, 4 and 5 only through such a
+    step.  It is no terminal, and the other properties read only bag
+    vertices and the chaining, which dropping changeless pairs keeps.
     """
     v = node.vertex
     table = DPTable(child_table.rho)
-    g = instance.graph
     for seq, value in child_table.entries.items():
-        proj = _project_forget(seq, v)
-        if len(seq) - len(proj) > budget:
-            continue
-        if not is_good_sequence(proj, node.bag, g, instance):
-            continue
-        table.put_min(proj, value)
+        table.put_min(_project_forget(seq, v), value)
     return table
 
 
@@ -580,12 +576,13 @@ def dp_introduce(
 
     Lifting a good entry gives good sequences, so none is re-checked.  The
     new vertex is no terminal (terminals are in every bag); the lift starts
-    at the child's first tuple and keeps every child coordinate that is a
-    bag vertex (properties 1, 2, 4), and chains pair by pair (3).  Only
-    ``UP`` coordinates turn into the new vertex and back (5).  At most one
-    robot holds it: one enters, from outside or along an edge from a bag
-    neighbour, only while it is empty, and leaves back outside or along an
-    edge to the bag vertex the child's robot enters from outside (6, 7, 8).
+    at the start tuple, where every child entry starts, and keeps every
+    child coordinate that is a bag vertex (properties 1, 2, 4), and chains
+    pair by pair (3).  Only ``UP`` coordinates turn into the new vertex and
+    back (5).  At most one robot holds it: one enters, from outside or along
+    an edge from a bag neighbour, only while it is empty, and leaves back
+    outside or along an edge to the bag vertex the child's robot enters
+    from outside (6, 7, 8).
     """
     v = node.vertex
     bag = node.bag
@@ -681,7 +678,7 @@ def dp_introduce(
                 lift(idx + 1, nxt, owner, chain, mu + add, new_visits)
                 chain.pop()
 
-        lift(0, seq[0][0] if seq else starts, None, [], 0, [0] * k)
+        lift(0, starts, None, [], 0, [0] * k)
     return table
 
 
@@ -773,13 +770,6 @@ def dp_join(
 # the solver
 
 
-def _has_up(seq) -> bool:
-    for a, b in seq:
-        if UP in a or UP in b:
-            return True
-    return False
-
-
 def solve_twdp(
     instance: Instance,
     checkpoint_budget: int | None = None,
@@ -794,11 +784,15 @@ def solve_twdp(
     not ``optimal`` (``infeasible`` or ``state-limit``), or when its energy
     is 0 (every robot is home, its zero-step schedule fits any budget), it
     is returned as is and no table is built.  ``checkpoint_budget`` caps
-    the tuple length of every per-node sequence (default ``4k(w+1)``).
+    the tuple length of every per-node sequence.  Its default, and its
+    ceiling, is ``2 * rho``: every checkpoint pair is a step in which some
+    robot moves onto or off a bag vertex, so a schedule of energy ``rho``
+    shows at most ``rho`` pairs, ``2 * rho`` tuples, at any node.
     The status is ``optimal`` (or ``budget-exceeded`` when that optimum is
     above the instance budget) only when the DP value equals the
-    certificate; otherwise ``budget-limited`` admits that a larger budget
-    might find it.
+    certificate; otherwise ``budget-limited`` admits that the DP missed
+    it: an explicit budget below ``2 * rho`` or ``VISIT_CAP`` cut every
+    sequence that realizes it.
     ``states_expanded`` is the certificate's.
     """
     if checkpoint_budget is not None and checkpoint_budget < 2:
@@ -813,12 +807,7 @@ def solve_twdp(
         | {r.goal for r in instance.robots if r.goal is not None}
     )
     td = build_nice_td(instance.graph, terminals)
-    budget = (
-        checkpoint_budget
-        if checkpoint_budget is not None
-        else 4 * instance.k * (td.width + 1)
-    )
-    pairs_budget = budget // 2
+    budget = 2 * rho if checkpoint_budget is None else min(checkpoint_budget, 2 * rho)
     exterior_of = {
         nid: frozenset(
             v
@@ -862,7 +851,7 @@ def solve_twdp(
                 entry_cap=entry_cap,
             )
         elif node.kind == "forget":
-            table = dp_forget(node, kids[0], pairs_budget, instance=instance)
+            table = dp_forget(node, kids[0])
         elif node.kind == "join":
             table = dp_join(
                 node, kids[0], kids[1], instance=instance, exterior=exterior_of[nid]
@@ -875,11 +864,9 @@ def solve_twdp(
                 "or raise entry_cap"
             )
         tables[nid] = table
-    root_table = tables[td.root]
-    finite = [
-        value for seq, value in root_table.entries.items() if not _has_up(seq)
-    ]
-    value = min(finite) if finite else None
+    # The root's subtree is the whole graph, so its exterior is empty and no
+    # root entry steps to or from UP.
+    value = min(tables[td.root].entries.values(), default=None)
     states = certificate.states_expanded
     if value != rho:
         return SearchResult("budget-limited", value, None, states)

@@ -211,7 +211,7 @@ def _p4_chain_tables():
     leaf = dp_leaf(leaf_node, inst, 8, rho=10, exterior=leaf_node.bag)
     t1 = dp_introduce(i1, leaf, instance=inst, budget=10, exterior=i1.bag)
     t2 = dp_introduce(i2, t1, instance=inst, budget=10, exterior=i2.bag)
-    t3 = dp_forget(f1, t2, 5, instance=inst)
+    t3 = dp_forget(f1, t2)
     return g, inst, (leaf_node, i1, i2, f1, f2), (leaf, t1, t2, t3)
 
 
@@ -247,17 +247,14 @@ def test_dp_introduce_respects_separation():
     assert t1.get(below) == t1.sentinel
 
 
-def test_dp_forget_budget_caps_hidden_interactions():
-    _, inst, nodes, tables = _p4_chain_tables()
-    f2 = nodes[4]
-    t3 = tables[3]
-    crossing = (((0,), (DOWN,)), ((DOWN,), (3,)))
-    generous = dp_forget(f2, t3, 4, instance=inst)
-    assert generous.get(crossing) == 3
-    # With no interaction budget, entries that hid checkpoints on the
-    # forgotten vertex are rejected and the crossing disappears.
-    blocked = dp_forget(f2, t3, 0, instance=inst)
-    assert blocked.get(crossing) == blocked.sentinel
+def test_dp_forget_hides_interactions_with_the_forgotten_vertex():
+    _, _, nodes, tables = _p4_chain_tables()
+    t4 = dp_forget(nodes[4], tables[3])
+    # The walk 0-1-2-3 keeps its cost once 1 and 2 are both below the bag;
+    # its checkpoints on 1 and 2 merge into one hop through the interior.
+    assert t4.get((((0,), (DOWN,)), ((DOWN,), (3,)))) == 3
+    # The crossing deferred to the outside stays free.
+    assert t4.get((((0,), (UP,)), ((UP,), (3,)))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,27 +479,37 @@ def test_solve_matches_oracle_on_random_instances():
 
 
 def test_introduce_and_join_tables_are_good_by_construction(monkeypatch):
-    """Introduce and join keep every signature property by construction:
-    on a seeded sweep, every entry they return is a good sequence."""
-    checked = {"dp_introduce": 0, "dp_join": 0}
+    """Introduce, forget and join keep every signature property by
+    construction: on a seeded sweep, every entry they return is a good
+    sequence, and no root entry steps to or from the outside."""
+    checked = {"dp_introduce": 0, "dp_forget": 0, "dp_join": 0}
+    current = {}
 
     def checking(name, real):
         def step(node, *args, **kwargs):
             table = real(node, *args, **kwargs)
-            inst = kwargs["instance"]
+            inst = current["instance"]
             for seq in table.entries:
                 bad = sequence_violations(seq, node.bag, inst.graph, inst)
                 assert bad == [], (name, inst, seq, bad)
             checked[name] += len(table.entries)
+            current["last"] = table
             return table
 
         return step
 
+    def recording_leaf(*args, **kwargs):
+        current["last"] = real_leaf(*args, **kwargs)
+        return current["last"]
+
+    real_leaf = coordmp.twdp.dp_leaf
+    monkeypatch.setattr(coordmp.twdp, "dp_leaf", recording_leaf)
     for name in checked:
         monkeypatch.setattr(
             coordmp.twdp, name, checking(name, getattr(coordmp.twdp, name))
         )
     rng = random.Random(2610)
+    roots = 0
     for solve in range(320):
         if solve % 3 == 0:
             g = random_tree(rng, rng.randint(2, 9))
@@ -517,8 +524,55 @@ def test_introduce_and_join_tables_are_good_by_construction(monkeypatch):
             Robot(i, starts[i], goals[i] if i or rng.random() < 0.8 else None)
             for i in range(k)
         )
+        current.clear()
+        current["instance"] = Instance(g, robots)
         try:
-            solve_twdp(Instance(g, robots), rng.randint(4, 8), entry_cap=20_000)
+            solve_twdp(current["instance"], rng.randint(4, 8), entry_cap=20_000)
         except LimitError:
-            pass
+            continue
+        # The root's table is the last one a solve builds.
+        if "last" in current:
+            for seq in current["last"].entries:
+                assert all(UP not in a and UP not in b for a, b in seq), seq
+                roots += 1
     assert checked["dp_introduce"] > 1_000 and checked["dp_join"] > 100
+    assert checked["dp_forget"] > 2_000 and roots > 200
+
+
+def test_default_budget_is_set_by_the_certificate():
+    """With no budget the DP runs at 2 * rho, so the 6x2 grid that the
+    oracle solves in a handful of states is confirmed, not cut by the
+    entry cap."""
+    inst = generate("grid", width=6, height=2, robots=2, seed=0)
+    res = solve_twdp(inst)
+    assert (res.status, res.energy) == ("optimal", 3)
+    assert res.states_expanded == solve_exact(inst).states_expanded
+
+
+def test_budget_of_twice_the_certificate_is_never_budget_limited():
+    """A checkpoint budget of at least 2 * rho lets the DP reach the
+    certificate: on a seeded sweep no such solve is budget-limited."""
+    rng = random.Random(1207)
+    confirmed = 0
+    for solve in range(90):
+        if solve % 3 == 0:
+            g = random_tree(rng, rng.randint(3, 10))
+        elif solve % 3 == 1:
+            g = random_connected_graph(rng, rng.randint(3, 9))
+        else:
+            g = grid_graph(rng.randint(2, 5), 2)
+        k = rng.randint(1, min(2, g.n - 1))
+        starts = rng.sample(range(g.n), k)
+        goals = rng.sample(range(g.n), k)
+        inst = Instance(g, tuple(Robot(i, starts[i], goals[i]) for i in range(k)))
+        rho = solve_exact(inst).energy
+        if not rho:  # infeasible, or every robot home: no table is built
+            continue
+        for budget in (None, 2 * rho, 2 * rho + 3):
+            try:
+                res = solve_twdp(inst, budget, entry_cap=20_000)
+            except LimitError:
+                continue
+            assert res.status != "budget-limited", (inst, budget)
+            confirmed += res.status == "optimal" and res.energy > 0
+    assert confirmed >= 180
