@@ -364,8 +364,9 @@ class _Pipeline:
     def fallback(self):
         """Blocked routing: discard the prefix, decide, solve exactly.
 
-        The feasibility scan runs first: it settles infeasible components
-        and needs far less memory than the exact search to reach the cap.
+        The feasibility check runs first and settles infeasible components
+        and the state cap; it is the oracle's search, which the exact solve
+        then repeats to return the schedule.
         """
         inst = Instance(self.graph, self.robots)
         verdict = check_feasible(inst, self.limits)

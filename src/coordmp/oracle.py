@@ -1,21 +1,24 @@
 """Exact minimum-energy search over robot configurations.
 
 A configuration puts robot i on vertex state[i], no two robots on one
-vertex.  The searches store it packed into one int, the code
+vertex.  The search stores it packed into one int, the code
 ``sum(state[i] * n**(k-1-i))``: base-n digits with robot 0 the most
 significant.  Codes of k-digit states compare exactly as the state tuples
-do, so every heap tie broken on codes is the lexicographic tie-break on
-states (the smallest successor state is expanded first), and moving robot
-i from v to u adds (u - v) * n**(k-1-i) to the code.
+do, so a heap tie broken on codes is the lexicographic tie-break on
+states, and moving robot i from v to u adds (u - v) * n**(k-1-i) to the
+code.
 
 Transitions are parallel conflict-free moves weighted by the number of
-moving robots, and the searches run Dijkstra (A* on goal distances) with
-that deterministic tie-breaking.  Any legal parallel step decomposes into
-independent chains and fully occupied cycles: chains serialize into single
-moves at equal total energy, while cycle rotations cannot be serialized.
-The generator therefore emits single moves plus whole-cycle rotations,
-which preserves both feasibility and the optimal energy while keeping
-branching small.
+moving robots.  One A* search on goal distances (``_dijkstra``) answers
+every question put to the oracle, one search per call: the optimum, the
+budget verdict and reachability.  Among entries of equal f it pops the
+deepest first, then the smallest code, so it is deterministic.
+
+Any legal parallel step decomposes into independent chains and fully
+occupied cycles: chains serialize into single moves at equal total
+energy, while cycle rotations cannot be serialized.  The generator
+therefore emits single moves plus whole-cycle rotations, which preserves
+both feasibility and the optimal energy while keeping branching small.
 
 Every successor generator yields ``(next_code, weight, dh, steps)``: dh is
 the change of the summed goal distance, computed from the robots that move
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -56,9 +58,9 @@ class Limits:
     max_states caps expanded states and must be positive.  It bounds
     memory only through the branching: memory follows reached states, 210
     to 240 bytes each (table and heap entries), and the number reached per
-    expansion grows with vertex degree.  At ``Limits(40_000)`` a 6x6 grid
-    with k=6 peaks at 1.5 KB of RSS per expanded state, while a broom (a
-    hub with 1,000 leaves and two 4-edge arms, k=3) peaks at 18 KB
+    expansion grows with vertex degree.  At ``Limits(40_000)`` an 8x8 grid
+    with k=8 peaks at 3.4 KB of RSS per expanded state, while a broom (a
+    hub with 1,000 leaves and two 4-edge arms, k=3) peaks at 29 KB
     (CPython 3.11, 64-bit).
     """
 
@@ -224,7 +226,7 @@ def _goal_distances(instance):
 
 
 def _start(instance):
-    """(dists, place, start code, start bound) shared by both searches.
+    """(dists, place, start code, start bound) of a search.
 
     The bound is None when a mover's goal lies outside its start's
     component.  Robots move only along edges, so none ever leaves that
@@ -241,21 +243,26 @@ def _start(instance):
     return dists, place, _encode(start, n), h
 
 
-def _dijkstra(instance, successors, limits, budget):
-    """Shared search core over packed configuration codes.
+def _dijkstra(instance, successors, limits):
+    """The search core: A* over packed configuration codes.
 
     successors(state, code, place, dists) yields (next_code, weight, dh,
     steps), steps being the per-step codes recorded for reconstruction
-    (None for one step).  Runs A* on remaining goal distances (exact: the
-    bound is consistent even for restricted successor graphs, whose moves
-    are a subset of the base graph's).  A successor's bound is its
-    parent's, f - g of the popped entry, plus dh.  Heap entries are
-    (f, g, code); as codes order like state tuples, ties on f and g pop
-    the lexicographically smallest state, as a heap of tuples would.  A
-    popped code is decoded once (k divmods) for its successors.  One table
-    maps each reached code to (g, parent code, steps).  Returns
-    (goal_code, g, table, expanded) with goal_code None when the search
-    space is exhausted and "limit" when the state cap cut it.
+    (None for one step).  The bound on remaining goal distance is
+    consistent even for restricted successor graphs, whose moves are a
+    subset of the base graph's, so the first goal popped is optimal.  A
+    successor's bound is its parent's, f - g of the popped entry, plus dh.
+
+    Heap entries are (f, -g, code): among equal f the deepest entry pops
+    first.  Single moves change f by 0 or 2, so the last f-layer holds
+    most of the reached states, and popping the deepest of them first
+    reaches the goal (the deepest entry of its layer) without expanding
+    the rest.  Ties on f and g pop the smallest code, that is the
+    lexicographically smallest state.  A popped code is decoded once (k
+    divmods) for its successors.  One table maps each reached code to (g,
+    parent code, steps).  Returns (goal_code, g, table, expanded) with
+    goal_code None when the search space is exhausted and "limit" when
+    the state cap cut it.
     """
     dists, place, code, h = _start(instance)
     table = {code: (0, None, None)}
@@ -266,7 +273,8 @@ def _dijkstra(instance, successors, limits, budget):
     max_states = limits.max_states
     expanded = 0
     while heap:
-        f, g, code = heapq.heappop(heap)
+        f, neg_g, code = heapq.heappop(heap)
+        g = -neg_g
         if g > table[code][0]:
             continue
         if f == g:
@@ -280,75 +288,32 @@ def _dijkstra(instance, successors, limits, budget):
             seen = table.get(nxt)
             if seen is not None and ng >= seen[0]:
                 continue
-            nf = f + weight + dh
-            if budget is not None and nf > budget:
-                continue
             table[nxt] = (ng, code, steps)
-            heapq.heappush(heap, (nf, ng, nxt))
+            heapq.heappush(heap, (f + weight + dh, -ng, nxt))
     return None, None, table, expanded
 
 
-def _feasibility_scan(instance, successors, limits) -> str:
-    """Reachability of any goal configuration; ignores weights.
-
-    Breadth-first over codes, keeping each reached code's bound so that the
-    goal test is the search's: bound h + dh == 0.
-    """
-    dists, place, code, h = _start(instance)
-    if h is None:
-        return "infeasible"  # a goal is cut off even with no other robot
-    if h == 0:
-        return "feasible"
-    n, k = instance.graph.n, instance.k
-    seen = {code: h}
-    queue = deque([code])
-    expanded = 0
-    while queue:
-        code = queue.popleft()
-        expanded += 1
-        if expanded > limits.max_states:
-            return "state-limit"
-        h = seen[code]
-        state = _decode(code, n, k)
-        for nxt, _, dh, _ in successors(state, code, place, dists):
-            if nxt in seen:
-                continue
-            if h + dh == 0:
-                return "feasible"
-            seen[nxt] = h + dh
-            queue.append(nxt)
-    return "infeasible"
-
-
 def _solve(instance: Instance, successors, limits: Limits) -> SearchResult:
-    budget = instance.budget
-    goal_code, d, table, expanded = _dijkstra(
-        instance, successors, limits, budget
-    )
+    goal_code, d, table, expanded = _dijkstra(instance, successors, limits)
     if goal_code == "limit":
         return SearchResult("state-limit", states_expanded=expanded)
-    if goal_code is not None:
-        sched = _reconstruct(instance, table, goal_code)
-        return SearchResult("optimal", d, sched, expanded)
-    if budget is None:
+    if goal_code is None:
         return SearchResult("infeasible", states_expanded=expanded)
-    # Budget pruning exhausted the space: a feasibility scan distinguishes
-    # budget-exceeded from infeasible.
-    verdict = _feasibility_scan(instance, successors, limits)
-    if verdict == "feasible":
+    if instance.budget is not None and d > instance.budget:
         return SearchResult("budget-exceeded", states_expanded=expanded)
-    if verdict == "infeasible":
-        return SearchResult("infeasible", states_expanded=expanded)
-    return SearchResult("state-limit", states_expanded=expanded)
+    sched = _reconstruct(instance, table, goal_code)
+    return SearchResult("optimal", d, sched, expanded)
 
 
 def solve_exact(instance: Instance, limits: Limits | None = None) -> SearchResult:
     """Minimum-energy schedule over all parallel-move schedules.
 
-    Deterministic; respects the instance budget when present (the optimum
-    is still exact whenever it fits the budget, since prefix energies never
-    exceed totals).  Statuses: optimal, infeasible, budget-exceeded,
-    state-limit.  Emitted schedules always have horizon <= energy.
+    Deterministic.  One search runs, the same with or without an instance
+    budget; the budget only judges its result: no reachable goal is
+    infeasible, an optimum above the budget is budget-exceeded, and
+    otherwise the result is optimal.  Statuses: optimal, infeasible,
+    budget-exceeded, state-limit.  Emitted schedules always have horizon
+    <= energy.
     """
     limits = limits or default_limits()
     return _solve(instance, partial(_successors, instance.graph, None), limits)
@@ -392,9 +357,12 @@ def check_feasible(instance: Instance, limits: Limits | None = None) -> str:
     is witnessed by some schedule of energy polynomial in the graph size.
     """
     limits = limits or default_limits()
-    return _feasibility_scan(
+    goal_code = _dijkstra(
         instance, partial(_successors, instance.graph, None), limits
-    )
+    )[0]
+    if goal_code == "limit":
+        return "state-limit"
+    return "infeasible" if goal_code is None else "feasible"
 
 
 def critical_vertices(instance: Instance) -> frozenset[int]:

@@ -6,9 +6,12 @@ pruning beyond legality, so results can anchor the optimized solvers.
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from functools import partial
 from itertools import combinations, product
 
 from coordmp.core import Graph, InputError, Instance, LimitError, Route, Schedule
+from coordmp.oracle import _decode, _start, _successors
 from coordmp.structure import Haven, _make_haven
 
 
@@ -205,6 +208,41 @@ def brute_force_feasible(instance: Instance, cap: int = 2_000_000) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+def bfs_feasibility(instance: Instance, limits) -> str:
+    """Reachability over the oracle's own moves, breadth-first: feasible,
+    infeasible or state-limit.
+
+    The reference for ``check_feasible``, which runs the A* core instead.
+    It ignores weights and keeps each reached code's goal-distance bound,
+    so its goal test is the search's: bound 0.
+    """
+    dists, place, code, h = _start(instance)
+    if h is None:
+        return "infeasible"  # a goal is cut off even with no other robot
+    if h == 0:
+        return "feasible"
+    n, k = instance.graph.n, instance.k
+    successors = partial(_successors, instance.graph, None)
+    seen = {code: h}
+    queue = deque([code])
+    expanded = 0
+    while queue:
+        code = queue.popleft()
+        expanded += 1
+        if expanded > limits.max_states:
+            return "state-limit"
+        h = seen[code]
+        state = _decode(code, n, k)
+        for nxt, _, dh, _ in successors(state, code, place, dists):
+            if nxt in seen:
+                continue
+            if h + dh == 0:
+                return "feasible"
+            seen[nxt] = h + dh
+            queue.append(nxt)
+    return "infeasible"
 
 
 def apply_steps(positions: dict[int, int], steps) -> dict[int, int]:

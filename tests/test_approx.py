@@ -172,16 +172,16 @@ def test_approximate_disconnected_components_compose():
 
 def test_approximate_unsupported_structure_when_fallback_capped():
     # No haven on the cycle: the component goes to the exact search, which
-    # needs 3 expanded states; only a cap below that makes approx give up.
+    # needs 2 expanded states; only a cap below that makes approx give up.
     g = cycle_graph(50)
     inst = Instance(g, (Robot(0, 0, 1), Robot(1, 25, 26)))
     rep = approximate(inst, Limits(max_states=300))
     assert rep.status == "ok" and rep.energy == 2
     assert validate_schedule(inst, rep.schedule).ok
     with pytest.raises(UnsupportedStructureError) as exc:
-        approximate(inst, Limits(max_states=2))
+        approximate(inst, Limits(max_states=1))
     assert exc.value.tag.kind == "type4"
-    assert "state cap of 2" in str(exc.value)
+    assert "state cap of 1" in str(exc.value)
 
 
 def test_approximate_gives_up_only_at_the_state_cap():
@@ -255,7 +255,7 @@ def test_approximate_builds_without_feasibility_check(monkeypatch):
 @pytest.mark.parametrize(
     "kind,params,energy,lower_bound",
     [
-        ("grid", dict(width=10, height=10, robots=8, seed=1), 71, 43),
+        ("grid", dict(width=10, height=10, robots=8, seed=1), 69, 43),
         ("grid", dict(width=15, height=15, robots=12, seed=0), 263, 89),
         ("random-tree", dict(n=100, robots=6, seed=0), 74, 42),
     ],
@@ -298,6 +298,14 @@ def test_blocked_construction_decides_feasibility(monkeypatch):
         approximate(tree)
 
 
+def test_blocked_routing_decided_within_cap():
+    # The haven routing blocks on this tree, so approx checks feasibility
+    # before its exact search; both must finish under the caller's cap.
+    inst = generate("random-tree", n=40, robots=5, seed=2)
+    rep = approximate(inst, Limits(max_states=10_000))
+    assert rep.status == "ok" and validate_schedule(inst, rep.schedule).ok
+
+
 def test_haven_swaps_run_under_callers_limits(monkeypatch):
     caps = []
 
@@ -308,13 +316,13 @@ def test_haven_swaps_run_under_callers_limits(monkeypatch):
     real = coordmp.havenswap.solve_restricted
     monkeypatch.setattr(coordmp.havenswap, "solve_restricted", spy)
     # Three of this grid's haven swaps need the exact fallback (at most
-    # 26 states each).
+    # 7 states each).
     inst = generate("grid", width=4, height=4, robots=3, seed=0)
     rep = approximate(inst, Limits(max_states=1234))
     assert rep.status == "ok" and validate_schedule(inst, rep.schedule).ok
     assert caps and set(caps) == {1234}
     with pytest.raises(LimitError, match="haven reconfiguration"):
-        approximate(inst, Limits(max_states=10))
+        approximate(inst, Limits(max_states=5))
 
 
 def test_approximate_infeasible_agreement():
@@ -494,17 +502,17 @@ def test_gcmp1_path_cycle_agreement():
 
 
 def test_gcmp1_motion_domain_shrinks_broom_search():
-    # The hub's degree passes k**4 + k + 1, so the free robot's domain is
-    # its arm, the hub and the hub's 19 lowest-id neighbours.
-    inst = broom(300, 2)
+    # The hub's degree passes k**4 + k + 1, so each free robot's domain is
+    # its arm, the hub and the hub's 85 lowest-id neighbours.
+    inst = broom(100, 3)
     mine = solve_gcmp1(inst)
     ref = solve_exact(inst)
-    assert (mine.status, mine.energy, mine.states_expanded) == ("optimal", 10, 461)
-    assert (ref.status, ref.energy, ref.states_expanded) == ("optimal", 10, 2725)
-    capped = Limits(max_states=1000)
+    assert (mine.status, mine.energy, mine.states_expanded) == ("optimal", 13, 11590)
+    assert (ref.status, ref.energy, ref.states_expanded) == ("optimal", 13, 13792)
+    capped = Limits(max_states=12_000)
     assert solve_exact(inst, capped).status == "state-limit"
     mine = solve_gcmp1(inst, capped)
-    assert (mine.status, mine.energy) == ("optimal", 10)
+    assert (mine.status, mine.energy) == ("optimal", 13)
     assert validate_schedule(inst, mine.schedule).ok
 
 

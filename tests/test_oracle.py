@@ -33,6 +33,7 @@ from coordmp.oracle import (
 )
 
 from _reference import (
+    bfs_feasibility,
     brute_force_feasible,
     brute_force_optimum,
     legal_parallel_steps,
@@ -220,6 +221,55 @@ def test_check_feasible_matches_reference():
         k = rng.randrange(1, min(3, n) + 1)
         inst = random_instance(rng, n, k, rng.randrange(0, k + 1))
         assert (check_feasible(inst) == "feasible") == brute_force_feasible(inst)
+
+
+def test_check_feasible_agrees_with_bfs_reference():
+    # check_feasible runs the A* core; the breadth-first scan over the same
+    # moves is the reference wherever it decides under the same cap.
+    limits = Limits(max_states=2000)
+    decided = infeasible = 0
+    for kind in ("path", "cycle", "random-tree", "random", "grid"):
+        for k in (2, 3, 4):
+            for n in (6, 10, 14):
+                for seed in range(4):
+                    if kind == "grid":
+                        inst = generate(
+                            kind, width=n // 4 + 1, height=4, robots=k, seed=seed
+                        )
+                    else:
+                        inst = generate(kind, n=n, robots=k, seed=seed)
+                    ref = bfs_feasibility(inst, limits)
+                    if ref == "state-limit":
+                        continue
+                    assert check_feasible(inst, limits) == ref, (kind, n, k, seed)
+                    decided += 1
+                    infeasible += ref == "infeasible"
+    assert (decided, infeasible) == (165, 48)
+
+
+def test_budget_is_a_verdict_on_one_search():
+    # One search runs whatever the budget: its optimum fits the budget
+    # (optimal, the unbudgeted answer) or exceeds it (budget-exceeded).
+    rng = random.Random(17)
+    statuses = set()
+    for trial in range(40):
+        n = rng.randrange(3, 7)
+        k = rng.randrange(1, min(3, n) + 1)
+        inst = random_instance(rng, n, k, rng.randrange(1, k + 1))
+        opt, _ = brute_force_optimum(inst)
+        free = solve_exact(inst)
+        for delta in range(-2, 3):
+            budget = max(0, (opt or 0) + delta)
+            res = solve_exact(Instance(inst.graph, inst.robots, budget))
+            assert res.states_expanded == free.states_expanded, trial
+            if opt is None:
+                assert res.status == "infeasible", trial
+            elif opt <= budget:
+                assert res == free and res.energy == opt, trial
+            else:
+                assert (res.status, res.energy) == ("budget-exceeded", None), trial
+            statuses.add(res.status)
+    assert statuses == {"optimal", "budget-exceeded", "infeasible"}
 
 
 def test_feasible_witness_energy_polynomial():
@@ -502,45 +552,45 @@ def test_bound_change_matches_goal_distances():
 
 
 # ---------------------------------------------------------------------------
-# expansion order: states, energies and schedules pinned from the
-# remaining()-based search, which the incremental bound must reproduce
+# expansion order: states, energies and schedules pinned from the search
+# that pops the deepest entry among equal f (heap entries (f, -g, code))
 # ---------------------------------------------------------------------------
 
 PINNED_GRID_RUNS = [
     (
         dict(robots=5, free_robots=0, seed=3),
-        6029,
+        17,
         17,
         """sched 5 17
 robot 0: 7 7 7 7 7 7 7 7 7 7 7 7 7 7 8 9 14 19
-robot 1: 18 18 17 16 15 15 15 15 15 15 15 15 15 15 15 15 15 15
-robot 2: 17 22 22 22 22 21 20 20 20 20 20 20 20 20 20 20 20 20
-robot 3: 4 4 4 4 4 4 4 3 3 3 3 8 13 18 18 18 18 18
-robot 4: 11 11 11 11 11 11 11 11 6 1 2 2 2 2 2 2 2 2
+robot 1: 18 18 17 17 16 16 16 16 16 16 16 16 16 15 15 15 15 15
+robot 2: 17 16 16 15 15 15 15 15 15 15 15 15 20 20 20 20 20 20
+robot 3: 4 4 4 4 4 3 3 3 3 8 13 18 18 18 18 18 18 18
+robot 4: 11 11 11 11 11 11 6 1 2 2 2 2 2 2 2 2 2 2
 """,
     ),
     (
         dict(robots=6, free_robots=1, seed=5),
-        675,
+        13,
         13,
         """sched 6 13
 robot 0: 19 14 14 14 14 14 14 14 14 14 14 14 14 14
 robot 1: 8 8 7 7 7 7 7 7 7 7 7 7 7 7
-robot 2: 11 11 11 11 11 11 10 10 10 10 10 10 15 20
-robot 3: 20 20 20 15 10 5 5 6 1 1 1 1 1 1
-robot 4: 16 16 16 16 16 16 16 16 16 11 6 5 5 5
+robot 2: 11 11 11 10 10 10 10 10 10 10 10 10 15 20
+robot 3: 20 20 20 20 15 15 15 15 16 11 6 1 1 1
+robot 4: 16 16 16 16 16 11 6 5 5 5 5 5 5 5
 robot 5: 0 0 0 0 0 0 0 0 0 0 0 0 0 0
 """,
     ),
     (
         dict(robots=6, free_robots=2, seed=6),
-        2452,
+        17,
         17,
         """sched 6 17
 robot 0: 18 13 13 8 3 3 3 3 3 3 3 3 3 3 3 3 3 4
-robot 1: 2 2 2 2 2 2 2 7 6 6 6 6 6 6 11 16 21 21
-robot 2: 15 15 15 15 15 15 15 15 15 15 16 16 17 18 18 18 18 18
-robot 3: 8 8 7 7 7 6 5 5 5 10 10 15 15 15 15 15 15 15
+robot 1: 2 2 2 2 2 2 2 2 2 2 2 2 7 6 11 16 21 21
+robot 2: 15 15 15 15 15 15 15 15 16 16 17 18 18 18 18 18 18 18
+robot 3: 8 8 7 7 7 6 5 10 10 15 15 15 15 15 15 15 15 15
 robot 4: 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1
 robot 5: 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0
 """,
@@ -564,6 +614,15 @@ def test_grid_expansion_order_pinned(params, states, energy, schedule):
     _assert_pinned_run(inst, solve_exact(inst), states, energy, schedule)
 
 
+def test_grid_7x7_k7_pinned():
+    # Deepest-first ties reach the goal of this 7x7 grid straight down its
+    # last f-layer: one expansion per unit of energy.
+    inst = generate("grid", width=7, height=7, robots=7, seed=1)
+    res = solve_exact(inst, Limits(max_states=100_000))
+    assert (res.status, res.energy, res.states_expanded) == ("optimal", 30, 30)
+    assert validate_schedule(inst, res.schedule).ok
+
+
 def test_two_component_expansion_order_pinned():
     # A 2x3 grid holding the movers, plus a 4-cycle whose free robot never
     # moves: its distance list is all zeros, and the movers' lists hold
@@ -579,13 +638,13 @@ def test_two_component_expansion_order_pinned():
     )
     inst = Instance(Graph(10, edges), robots)
     schedule = """sched 5 10
-robot 0: 0 0 0 0 1 1 4 4 4 4 5
-robot 1: 5 2 2 2 2 2 2 1 0 0 0
-robot 2: 1 1 1 4 4 5 5 5 5 2 2
+robot 0: 0 0 0 0 1 1 2 2 2 2 5
+robot 1: 5 5 4 4 4 4 4 1 0 0 0
+robot 2: 1 1 1 2 2 5 5 5 5 4 4
 robot 3: 7 7 7 7 7 7 7 7 7 7 7
-robot 4: 4 4 3 3 3 3 3 3 3 3 3
+robot 4: 4 3 3 3 3 3 3 3 3 3 3
 """
-    _assert_pinned_run(inst, solve_exact(inst), 225, 10, schedule)
+    _assert_pinned_run(inst, solve_exact(inst), 103, 10, schedule)
 
 
 def test_critical_corridor_expansion_order_pinned():
@@ -600,8 +659,8 @@ def test_critical_corridor_expansion_order_pinned():
     )
     assert set(range(18)) - critical_vertices(inst) == set(range(6, 12))
     schedule = """sched 3 30
-robot 0: 0 2 3 3 4 4 5 5 6 7 8 9 10 11 12 12 13 14 14 14 14 14 14 14 14 14 15 15 17 17 16
-robot 1: 1 1 1 2 2 3 3 4 4 4 4 4 4 4 4 5 5 5 6 7 8 9 10 11 12 13 13 14 14 15 17
+robot 0: 0 2 3 3 4 4 5 6 7 8 9 10 11 12 12 12 13 13 13 13 13 13 13 13 14 14 15 15 17 17 16
+robot 1: 1 1 1 2 2 3 3 3 3 3 3 3 3 3 4 5 5 6 7 8 9 10 11 12 12 13 13 14 14 15 17
 robot 2: 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 15
 """
-    _assert_pinned_run(inst, solve_critical(inst), 363, 32, schedule)
+    _assert_pinned_run(inst, solve_critical(inst), 255, 32, schedule)
