@@ -42,7 +42,9 @@ from coordmp.havenswap import (
     _schedule_to_steps,
     swap,
 )
-from coordmp.oracle import (
+# check_feasible is unused here, but perfbench's traced run wraps
+# coordmp.approx.check_feasible by name and fails if it is missing.
+from coordmp.oracle import (  # noqa: F401
     Limits,
     SearchResult,
     check_feasible,
@@ -362,28 +364,20 @@ class _Pipeline:
         return self.fallback()
 
     def fallback(self):
-        """Blocked routing: discard the prefix, decide, solve exactly.
+        """Blocked routing: discard the prefix and solve exactly.
 
-        The feasibility check runs first and settles infeasible components
-        and the state cap; it is the oracle's search, which the exact solve
-        then repeats to return the schedule.
+        One oracle search decides the component: no goal is infeasible,
+        the state cap is a limit, and an optimum gives the schedule.
         """
-        inst = Instance(self.graph, self.robots)
-        verdict = check_feasible(inst, self.limits)
-        if verdict == "infeasible":
+        result = solve_exact(Instance(self.graph, self.robots), self.limits)
+        if result.status == "infeasible":
             raise InfeasibleError("component goals are unreachable")
-        if verdict == "state-limit":
+        if result.status == "state-limit":
             raise LimitError(
-                "constructive routing was blocked and the feasibility check "
+                "constructive routing was blocked and the exact completion "
                 "exceeded the state limit"
             )
-        result = solve_exact(inst, self.limits)
-        if result.status == "optimal":
-            return _schedule_to_steps(result.schedule, self.robots)
-        raise LimitError(
-            "constructive routing was blocked and the exact completion "
-            "exceeded the state limit"
-        )
+        return _schedule_to_steps(result.schedule, self.robots)
 
 
 def _solve_component(graph, robots, limits) -> list[MoveStep]:

@@ -27,8 +27,9 @@ from coordmp.oracle import Limits, SearchResult, default_limits, solve_exact
 UP = -1
 DOWN = -2
 
-# Enumeration throttles: per-robot visit/exit caps inside one sequence and
-# a cap on generated table entries (LimitError beyond it).
+# Enumeration throttles: per-robot visit/exit caps inside one sequence, and
+# an entry cap (LimitError beyond it) on the entries of every table, the
+# leaf's enumeration nodes and each introduce node's lift nodes.
 VISIT_CAP = 2
 DEFAULT_ENTRY_CAP = 200_000
 
@@ -192,28 +193,27 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
             stack.append(c)
     if seen != set(nodes):
         raise InputError("decomposition graph is not a single rooted tree")
-    covered = set()
+    holders: dict[int, list[int]] = {}
     for node in nodes.values():
-        covered |= node.bag
         for v in node.bag:
             if not 0 <= v < graph.n:
                 raise InputError(f"node {node.id}: bag vertex {v} out of range")
-    if covered != set(range(graph.n)):
-        missing = sorted(set(range(graph.n)) - covered)
+            holders.setdefault(v, []).append(node.id)
+    if len(holders) != graph.n:
+        missing = sorted(set(range(graph.n)) - set(holders))
         raise InputError(f"vertices {missing} appear in no bag")
     for u, v in graph.edges:
-        if not any({u, v} <= node.bag for node in nodes.values()):
+        if not any(v in nodes[nid].bag for nid in holders[u]):
             raise InputError(f"edge ({u}, {v}) appears in no bag")
     parent = {}
     for node in nodes.values():
         for c in node.children:
             parent[c] = node.id
     for v in range(graph.n):
-        holders = [n.id for n in nodes.values() if v in n.bag]
-        anchor = holders[0]
+        anchor = holders[v][0]
         reached = {anchor}
         frontier = deque([anchor])
-        holder_set = set(holders)
+        holder_set = set(holders[v])
         while frontier:
             nid = frontier.popleft()
             near = list(nodes[nid].children)
@@ -583,6 +583,9 @@ def dp_introduce(
     an edge from a bag neighbour, only while it is empty, and leaves back
     outside or along an edge to the bag vertex the child's robot enters
     from outside (6, 7, 8).
+
+    Each child pair left to lift adds one pair, so a branch whose chain
+    plus those pairs exceeds ``budget // 2`` pairs is cut at once.
     """
     v = node.vertex
     bag = node.bag
@@ -604,7 +607,7 @@ def dp_introduce(
     for seq, value in child_table.entries.items():
         def lift(idx, cur, at_v, chain, mu, visits):
             bump()
-            if len(chain) > pairs_max:
+            if len(chain) + len(seq) - idx > pairs_max:
                 return
             if value + mu > rho:
                 return
@@ -703,6 +706,15 @@ def _merge_coord(c1, c2):
     return None
 
 
+def _bag_shape(seq):
+    """The sequence's coordinates, flattened, with UP and DOWN read as UP.
+
+    Two sequences merge only if their shapes are equal: ``_merge_coord``
+    pairs a bag vertex only with itself, and a symbol only with a symbol.
+    """
+    return tuple(UP if c < 0 else c for pair in seq for tup in pair for c in tup)
+
+
 def _zip_merge(s1, s2, k):
     merged = []
     for (a1, b1), (a2, b2) in zip(s1, s2):
@@ -740,14 +752,17 @@ def dp_join(
     merged bag coordinate equals both children's (properties 1-4, 6-8),
     and ``_merge_coord`` never turns a child's step into one between
     ``UP`` and ``DOWN`` (5).
+
+    Only entries of equal ``_bag_shape`` can merge, so the right table is
+    indexed by shape and each left entry meets only its shape's entries.
     """
     k = instance.k
     table = DPTable(min(left_table.rho, right_table.rho))
-    by_len: dict[int, list] = {}
+    by_shape: dict[tuple, list] = {}
     for s2, h2 in right_table.entries.items():
-        by_len.setdefault(len(s2), []).append((s2, h2))
+        by_shape.setdefault(_bag_shape(s2), []).append((s2, h2))
     for s1, h1 in left_table.entries.items():
-        for s2, h2 in by_len.get(len(s1), ()):
+        for s2, h2 in by_shape.get(_bag_shape(s1), ()):
             merged = _zip_merge(s1, s2, k)
             if merged is None:
                 continue

@@ -13,6 +13,7 @@ from itertools import combinations, product
 from coordmp.core import Graph, InputError, Instance, LimitError, Route, Schedule
 from coordmp.oracle import _decode, _start, _successors
 from coordmp.structure import Haven, _make_haven
+from coordmp.twdp import DPTable, _crosses_outside_non_portal, _is_symbol, _zip_merge
 
 
 def legal_parallel_steps(graph: Graph, state: tuple[int, ...]):
@@ -270,6 +271,32 @@ def apply_steps(positions: dict[int, int], steps) -> dict[int, int]:
             occ[v] = robot
             pos[robot] = v
     return pos
+
+
+def all_pairs_join(left_table, right_table, k: int, exterior) -> DPTable:
+    """The join table from every pair of equal-length entries.
+
+    The reference for ``dp_join``, which only tries pairs of equal bag
+    shape: each pair is merged coordinate by coordinate, dropped if it
+    crosses to the outside away from the exterior, and stored at the sum of
+    the two values less the moves between bag vertices both children paid.
+    """
+    table = DPTable(min(left_table.rho, right_table.rho))
+    for s1, h1 in left_table.entries.items():
+        for s2, h2 in right_table.entries.items():
+            if len(s1) != len(s2):
+                continue
+            merged = _zip_merge(s1, s2, k)
+            if merged is None or _crosses_outside_non_portal(merged, k, exterior):
+                continue
+            shared = sum(
+                1
+                for a, b in merged
+                for x, y in zip(a, b)
+                if x != y and not _is_symbol(x) and not _is_symbol(y)
+            )
+            table.put_min(merged, h1 + h2 - shared)
+    return table
 
 
 # The subset dynamic program below keeps one entry per vertex subset.

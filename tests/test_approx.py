@@ -242,10 +242,11 @@ def test_approximate_random_sandwich(capsys):
 
 
 def test_approximate_builds_without_feasibility_check(monkeypatch):
+    # Only blocked routing decides feasibility, by the oracle's search.
     def refuse(instance, limits=None):
-        raise AssertionError("feasibility check on an unblocked construction")
+        raise AssertionError("exact search on an unblocked construction")
 
-    monkeypatch.setattr(coordmp.approx, "check_feasible", refuse)
+    monkeypatch.setattr(coordmp.approx, "solve_exact", refuse)
     inst = generate("grid", width=5, height=5, robots=4, seed=1)
     rep = approximate(inst, Limits(max_states=10_000))
     assert rep.status == "ok"
@@ -273,24 +274,25 @@ def test_blocked_construction_decides_feasibility(monkeypatch):
     verdicts = []
 
     def spy(instance, limits=None):
-        verdicts.append(check_feasible(instance, limits))
-        return verdicts[-1]
+        result = solve_exact(instance, limits)
+        verdicts.append(result.status)
+        return result
 
-    monkeypatch.setattr(coordmp.approx, "check_feasible", spy)
-    # The haven routing blocks here; the feasibility check runs, then the
-    # exact search completes the schedule, or the check hits a tiny cap.
+    monkeypatch.setattr(coordmp.approx, "solve_exact", spy)
+    # The haven routing blocks here; one exact search decides feasibility
+    # and completes the schedule, or hits a tiny cap.
     inst = generate("random", n=8, edge_prob=0.3, robots=3, seed=5)
     rep = approximate(inst)
-    assert verdicts == ["feasible"]
+    assert verdicts == ["optimal"]
     assert rep.status == "ok" and validate_schedule(inst, rep.schedule).ok
     with pytest.raises(LimitError):
         approximate(inst, Limits(max_states=5))
-    assert verdicts[-1] == "state-limit"
+    assert verdicts[1:] == ["state-limit"]
     # Goals that no schedule reaches: blocked routing reports infeasible.
     swap = Instance(path_graph(3), (Robot(0, 0, 2), Robot(1, 2, 0)))
     with pytest.raises(InfeasibleError):
         _Pipeline(swap.graph, swap.robots, [], Limits()).fallback()
-    assert verdicts[-1] == "infeasible"
+    assert verdicts[2:] == ["infeasible"]
     # A tree with no haven near its endpoints: the exact fallback decides.
     tree = generate("random-tree", n=7, robots=3, seed=3)
     assert check_feasible(tree) == "infeasible"

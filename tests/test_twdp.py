@@ -5,7 +5,7 @@ import pytest
 
 import coordmp.approx
 import coordmp.twdp
-from _reference import exact_elimination_order
+from _reference import all_pairs_join, exact_elimination_order
 from coordmp.core import Graph, InputError, Instance, LimitError, Robot
 from coordmp.generators import generate, grid_graph, random_connected
 from coordmp.oracle import Limits, solve_exact
@@ -576,3 +576,134 @@ def test_budget_of_twice_the_certificate_is_never_budget_limited():
             assert res.status != "budget-limited", (inst, budget)
             confirmed += res.status == "optimal" and res.energy > 0
     assert confirmed >= 180
+
+
+def test_join_equals_the_all_pairs_reference(monkeypatch):
+    """``dp_join`` tries only pairs of equal bag shape; on a seeded sweep
+    every join table equals the all-pairs reference, entries, values and
+    insertion order alike."""
+    checked = {"joins": 0, "pairs": 0, "entries": 0}
+    real_join = coordmp.twdp.dp_join
+
+    def checking_join(node, left, right, *, instance, exterior):
+        table = real_join(node, left, right, instance=instance, exterior=exterior)
+        want = all_pairs_join(left, right, instance.k, exterior)
+        assert table.rho == want.rho
+        assert list(table.entries.items()) == list(want.entries.items())
+        checked["joins"] += 1
+        checked["pairs"] += len(left.entries) * len(right.entries)
+        checked["entries"] += len(table.entries)
+        return table
+
+    monkeypatch.setattr(coordmp.twdp, "dp_join", checking_join)
+    rng = random.Random(1403)
+    for solve in range(90):
+        if solve % 3 == 0:
+            g = random_tree(rng, rng.randint(5, 10))
+        elif solve % 3 == 1:
+            g = random_connected_graph(rng, rng.randint(5, 9))
+        else:
+            g = grid_graph(rng.randint(3, 5), 2)
+        k = rng.randint(1, 2)
+        starts = rng.sample(range(g.n), k)
+        goals = rng.sample(range(g.n), k)
+        inst = Instance(g, tuple(Robot(i, starts[i], goals[i]) for i in range(k)))
+        try:
+            solve_twdp(inst, rng.choice((6, 8)), entry_cap=20_000)
+        except LimitError:
+            continue
+    assert checked["joins"] > 100 and checked["pairs"] > 50_000
+    assert checked["entries"] > 400
+
+
+# (status, energy, entries summed over every table a solve builds), recorded
+# with a lift that ran every branch to its end and a join that tried every
+# equal-length pair; the solves run as twdp-small runs them: oracle cap
+# 100k, entry cap 20k.  ``None`` budgets run at the certificate's 2 * rho.
+PINNED_TABLE_TOTALS = [
+    ("random-tree", dict(n=8, robots=2), 8, [
+        ("optimal", 5, 226), ("optimal", 4, 182),
+        ("budget-limited", None, 6), ("optimal", 6, 82),
+    ]),
+    ("random-tree", dict(n=12, robots=2), 8, [
+        ("optimal", 4, 967), ("optimal", 5, 1228),
+        ("budget-limited", None, 142), ("budget-limited", None, 1140),
+    ]),
+    ("grid", dict(width=4, height=2, robots=2), 8, [
+        ("optimal", 4, 917), ("optimal", 4, 1576),
+        ("optimal", 3, 278), ("optimal", 4, 739),
+    ]),
+    # generator seed 3 stops in the leaf's enumeration, before any table.
+    ("grid", dict(width=6, height=2, robots=2), 8, [
+        ("optimal", 3, 362), ("optimal", 3, 382),
+        ("optimal", 5, 930), ("LimitError", None, 0),
+    ]),
+    ("random", dict(n=8, robots=2, edge_prob=0.15), 8, [
+        ("optimal", 1, 19), ("optimal", 2, 102),
+        ("optimal", 3, 142), ("optimal", 4, 220),
+    ]),
+    ("random", dict(n=11, robots=2, edge_prob=0.1), 8, [
+        ("budget-limited", None, 2013), ("optimal", 6, 353),
+        ("budget-limited", None, 1106), ("optimal", 5, 1566),
+    ]),
+    ("random-tree", dict(n=8, robots=2), None, [
+        ("optimal", 5, 1027), None, None, ("optimal", 6, 1913),
+    ]),
+    ("path", dict(n=8, robots=2), None, [None, None, ("optimal", 6, 957)]),
+    ("star", dict(n=7, robots=3), None, [("optimal", 5, 98)]),
+]
+
+
+def test_table_totals_pinned(monkeypatch):
+    """The DP's pruning is exact: every pinned solve builds as many table
+    entries and reaches the same root value as the DP that tried every
+    branch and every equal-length pair."""
+    built = []
+
+    def counting(real):
+        def step(*args, **kwargs):
+            table = real(*args, **kwargs)
+            built.append(len(table.entries))
+            return table
+
+        return step
+
+    for name in ("dp_leaf", "dp_introduce", "dp_forget", "dp_join"):
+        monkeypatch.setattr(
+            coordmp.twdp, name, counting(getattr(coordmp.twdp, name))
+        )
+    for kind, kw, budget, pins in PINNED_TABLE_TOTALS:
+        for seed, want in enumerate(pins):
+            if want is None:
+                continue
+            inst = generate(kind, seed=seed, **kw)
+            built.clear()
+            try:
+                res = solve_twdp(
+                    inst, budget, limits=Limits(max_states=100_000), entry_cap=20_000
+                )
+                got = (res.status, res.energy, sum(built))
+            except LimitError:
+                got = ("LimitError", None, sum(built))
+            assert got == want, (kind, kw, seed, budget)
+
+
+def test_default_budget_confirms_the_20x2_ladder():
+    """At n = 40 and the default budget 2 * rho = 10, the DP confirms the
+    oracle's optimum."""
+    inst = generate("grid", width=20, height=2, robots=2, seed=1)
+    res = solve_twdp(inst)
+    assert (res.status, res.energy) == ("optimal", 5)
+
+
+def test_default_budget_lifts_finish_within_the_entry_cap():
+    """A lift branch stops as soon as its remaining child pairs cannot fit
+    the budget, so these default-budget solves finish under the 20k entry
+    cap instead of spending it on visits that no entry could keep."""
+    cases = (
+        (generate("random-tree", n=8, robots=2, seed=2), 8),
+        (generate("grid", width=6, height=2, robots=2, seed=2), 5),
+    )
+    for inst, energy in cases:
+        res = solve_twdp(inst, limits=Limits(max_states=100_000), entry_cap=20_000)
+        assert (res.status, res.energy) == ("optimal", energy)
