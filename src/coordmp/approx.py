@@ -48,7 +48,6 @@ from coordmp.oracle import (  # noqa: F401
     Limits,
     SearchResult,
     check_feasible,
-    default_limits,
     solve_critical,
     solve_exact,
     solve_restricted,
@@ -293,10 +292,7 @@ class _Pipeline:
 
     def route(self, rid, targets, extra_banned):
         banned = (self.pinned_vertices() | extra_banned) - {self.pos[rid]}
-        reachable_targets = set(targets) - banned
-        if not reachable_targets:
-            return False
-        path = path_avoiding(self.graph, self.pos[rid], reachable_targets, banned)
+        path = path_avoiding(self.graph, self.pos[rid], targets, banned)
         if path is None:
             return False
         try:
@@ -453,25 +449,25 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
     Robots are parked in pairwise-disjoint havens near their starts, then
     destination-bearing robots walk to their goals one at a time, crossing
     occupied havens via bounded internal rearrangements.  Feasibility is
-    decided only when this construction cannot finish: a blocked routing
-    runs the feasibility check, then the exact search, on its component.
-    Returns to a vertex that no other robot used in between are then cut
-    from the built schedule (see ``_cut_loops``), which only lowers its
-    energy.  The result carries the schedule, its energy and the distance
-    lower bound; its status is ok (within the instance budget, or no
-    budget), budget-exceeded (the lower bound exceeds the budget) or
-    budget-limited (undecided).
+    decided only when this construction cannot finish: then one exact
+    search of the blocked routing's component decides it and gives the
+    component's schedule.  Returns to a vertex that no other robot used in
+    between are then cut from the built schedule (see ``_cut_loops``),
+    which only lowers its energy.  The result carries the schedule, its
+    energy and the distance lower bound; its status is ok (within the
+    instance budget, or no budget), budget-exceeded (the lower bound exceeds
+    the budget) or budget-limited (undecided).
 
     Raises InfeasibleError when a goal is cut off from its start, or when
-    a blocked routing's feasibility check, or the exact search of a
-    component with no haven cover, finds the goals unreachable.  Raises
-    LimitError when a blocked routing's feasibility check or exact search,
-    or a haven swap's exact fallback, hits the state cap.  Raises
-    UnsupportedStructureError when some robot endpoint has no nice vertex
-    within ``NICE_RADIUS_FACTOR * k`` and ``solve_critical`` on its
-    component runs up to the state cap and stops there undecided.
+    the exact search of a blocked routing's component, or of a component
+    with no haven cover, finds the goals unreachable.  Raises LimitError
+    when a blocked routing's exact search, or a haven swap's exact
+    fallback, hits the state cap.  Raises UnsupportedStructureError when
+    some robot endpoint has no nice vertex within ``NICE_RADIUS_FACTOR * k``
+    and ``solve_critical`` on its component runs up to the state cap and
+    stops there undecided.
     """
-    limits = limits or default_limits()
+    limits = limits or Limits()
     lower_bound = 0
     for r in instance.movers:
         d = shortest_path_distance(instance.graph, r.start, r.goal)
@@ -508,7 +504,7 @@ def solve_gcmp1(instance: Instance, limits: Limits | None = None) -> SearchResul
     degree >= ``C1*k**4 + k + 1`` or past depth ``C2*(lambda*k + k**4)``;
     elsewhere, and with no nice vertex within lambda, it is every vertex.
     """
-    limits = limits or default_limits()
+    limits = limits or Limits()
     movers = instance.movers
     if len(movers) != 1:
         raise InputError(

@@ -26,7 +26,7 @@ from coordmp.core import (
 )
 from coordmp.generators import KINDS, generate
 from coordmp.hardness import parse_mcc, reduce_mcc
-from coordmp.oracle import Limits, default_limits, solve_critical, solve_exact
+from coordmp.oracle import Limits, solve_critical, solve_exact
 from coordmp.render import render_dot, render_frames, render_text_trace
 from coordmp.structure import ClassificationError, classify_vertex
 from coordmp.twdp import solve_twdp
@@ -79,12 +79,6 @@ def _write(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def _limits(args) -> Limits:
-    if getattr(args, "state_cap", None) is not None:
-        return Limits(max_states=args.state_cap)
-    return default_limits()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coordmp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,17 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="report per-vertex haven structure")
     ana.add_argument("-i", "--instance", required=True)
-    ana.add_argument("--k", type=int, help="robot count to classify against")
 
-    pre = sub.add_parser("preprocess", help="shrink an instance before solving")
-    pre.add_argument("--energy-ball", action="store_true",
-                     help="restrict to budget-radius balls around movers")
+    pre = sub.add_parser("preprocess",
+                         help="restrict an instance to budget-radius balls "
+                              "around its movers")
     pre.add_argument("-i", "--instance", required=True)
     pre.add_argument("-o", "--out", help="sub-instance output path")
 
-    red = sub.add_parser("reduce", help="build a hardness gadget instance")
-    red.add_argument("format", choices=["mcc"],
-                     help="source problem file format")
+    red = sub.add_parser("reduce", help="build a hardness gadget instance "
+                                        "from a multicolored-graph file")
     red.add_argument("-i", "--input", required=True)
     red.add_argument("-o", "--out", help="instance output path")
 
@@ -150,7 +142,7 @@ def _cmd_solve(args) -> int:
     if args.alg != "twdp" and args.checkpoint_budget is not None:
         raise InputError("--checkpoint-budget applies only to --alg twdp")
     instance = parse_instance(_read(args.instance))
-    limits = _limits(args)
+    limits = None if args.state_cap is None else Limits(args.state_cap)
     try:
         if args.alg == "twdp":
             result = solve_twdp(instance, args.checkpoint_budget, limits=limits)
@@ -160,6 +152,12 @@ def _cmd_solve(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         _summary(args.alg, None, "infeasible")
         return EXIT_INFEASIBLE
+    except (LimitError, UnsupportedStructureError) as exc:
+        # approx raises these only at the state cap, twdp at its entry cap.
+        print(f"limit reached: {exc}", file=sys.stderr)
+        _summary(args.alg, None,
+                 "entry-limit" if args.alg == "twdp" else "state-limit")
+        return EXIT_LIMIT
     _summary(args.alg, result.energy, result.status)
     if result.schedule is not None:
         _write(args.out, render_schedule(result.schedule))
@@ -181,9 +179,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     instance = parse_instance(_read(args.instance))
-    k = args.k if args.k is not None else max(instance.k, 1)
-    if k < 1:
-        raise InputError("classification requires k >= 1")
+    k = max(instance.k, 1)
     graph = instance.graph
     cache: dict = {}
     kinds: dict[str, int] = {}
@@ -204,8 +200,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    if not args.energy_ball:
-        raise InputError("no preprocessing selected; pass --energy-ball")
     instance = parse_instance(_read(args.instance))
     result = energy_ball_restrict(instance)
     if result.no_instance:
@@ -301,7 +295,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (LimitError, UnsupportedStructureError, ClassificationError) as exc:
+    except ClassificationError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

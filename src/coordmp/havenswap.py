@@ -17,7 +17,7 @@ from .core import (
     Robot,
     Schedule,
 )
-from .oracle import Limits, default_limits, solve_restricted
+from .oracle import Limits, solve_restricted
 from .structure import Haven, check_haven
 
 MoveStep = tuple[tuple[int, int, int], ...]
@@ -192,7 +192,7 @@ def swap(
     place center/spare-destined robots.  Placements the incremental phases
     cannot finish (delivered robots walling off a path) are completed by an
     exact minimum-move search on the haven's configuration graph, under
-    ``limits`` (``default_limits()`` when None); LimitError when it hits
+    ``limits`` (``Limits()`` when None); LimitError when it hits
     the state cap.
     """
     check_haven(graph, haven)
@@ -203,7 +203,7 @@ def swap(
     if from_config.placement == to_config.placement:
         return []
 
-    limits = limits or default_limits()
+    limits = limits or Limits()
     c1, c2, _ = haven.witnesses
     w = haven.center
     x = haven.x

