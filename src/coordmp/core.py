@@ -122,6 +122,9 @@ class Instance:
     budget: int | None = None
 
     def __post_init__(self):
+        ids = [r.id for r in self.robots]
+        if len(set(ids)) != len(ids):
+            raise InputError("robot ids must be pairwise distinct")
         starts = [r.start for r in self.robots]
         if len(set(starts)) != len(starts):
             raise InputError("robot starts must be pairwise distinct")
@@ -197,11 +200,6 @@ class ValidationResult:
     energy: int | None = None
     over_budget: bool = False
     violation: str | None = None
-
-
-def energy(schedule: Schedule) -> int:
-    """Total number of moving steps across all routes; waits cost nothing."""
-    return schedule.energy
 
 
 def conflicts(route_a: Route, route_b: Route) -> ConflictReport | None:

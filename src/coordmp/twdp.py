@@ -1,11 +1,12 @@
 """Width-parameterized exact solving over nice tree decompositions.
 
-The solver views each decomposition node as a boundaried subgraph whose
-boundary is the node's bag.  A schedule interacts with that boundary at
-*checkpoints*: steps in which some robot moves onto or off a bag vertex.
-The per-node DP table maps *checkpoint sequences* (chained pairs of
-configuration tuples over the bag) to the cheapest semi-schedule cost
-below the node realizing that boundary interaction.
+The solver views each decomposition node (a leaf, introduce, forget or
+join) as a boundaried subgraph whose boundary is the node's bag.  A
+schedule interacts with that boundary at *checkpoints*: steps in which some
+robot moves onto or off a bag vertex.  The per-node DP table maps
+*checkpoint sequences* (chained pairs of configuration tuples over the bag)
+to the cheapest semi-schedule cost below the node realizing that boundary
+interaction.
 
 Symbols inside configuration tuples: a bag vertex id, ``UP`` (robot is
 outside the node's subtree), or ``DOWN`` (robot is strictly below the
@@ -40,7 +41,7 @@ DEFAULT_ENTRY_CAP = 200_000
 
 @dataclass(frozen=True)
 class TDNode:
-    """One decomposition node: kind is leaf|introduce|forget|join|root."""
+    """One decomposition node: kind is leaf|introduce|forget|join."""
 
     id: int
     kind: str
@@ -117,7 +118,9 @@ def build_nice_td(graph: Graph, terminals) -> NiceTreeDecomposition:
     order, so it is built in polynomial time on any graph; its width
     (``base_width``) is an upper bound on the treewidth, not always the
     minimum.  Its bags are then augmented with the terminals, and leaf and
-    root bags equal the terminal set.
+    root bags equal the terminal set.  The root tops the chain from the
+    elimination root to the terminal bag, or joins one such chain per
+    connected component; the empty graph's decomposition is a single leaf.
     """
     terminals = frozenset(terminals)
     for t in terminals:
@@ -152,10 +155,9 @@ def build_nice_td(graph: Graph, terminals) -> NiceTreeDecomposition:
     tops = [builder.chain_to(top_of[r], terminals) for r in sorted(roots)]
     if not tops:
         tops = [builder.add("leaf", terminals)]
-    top = tops[0]
+    root = tops[0]
     for other in tops[1:]:
-        top = builder.add("join", terminals, (top, other))
-    root = builder.add("root", terminals, (top,))
+        root = builder.add("join", terminals, (root, other))
     nodes = builder.nodes
     width = max(len(n.bag) for n in nodes.values()) - 1
     gamma = _compute_gamma(nodes)
@@ -246,141 +248,26 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
         elif kind == "join":
             if len(kids) != 2 or any(k.bag != node.bag for k in kids):
                 raise InputError(f"join {node.id} needs two children with equal bags")
-        elif kind == "root":
-            if len(kids) != 1 or kids[0].bag != node.bag:
-                raise InputError(f"root {node.id} needs one child with an equal bag")
-            if node.bag != terminals:
-                raise InputError("root bag must equal the terminal set")
-            if node.id != td.root:
-                raise InputError("kind root on a non-root node")
         else:
             raise InputError(f"node {node.id}: unknown kind {kind!r}")
-    if nodes[td.root].kind != "root":
-        raise InputError("root node must have kind root")
-
-
-# ---------------------------------------------------------------------------
-# checkpoint sequences and goodness
-
-
-def _is_symbol(x) -> bool:
-    return x == UP or x == DOWN
-
-
-def _check_shape(seq, bag, k) -> None:
-    for pair in seq:
-        if len(pair) != 2:
-            raise InputError("sequence items must be tuple pairs")
-        for tup in pair:
-            if len(tup) != k:
-                raise InputError(f"configuration tuples must have {k} entries")
-            for c in tup:
-                if not _is_symbol(c) and c not in bag:
-                    raise InputError(f"symbol {c!r} is not a bag vertex")
-
-
-def _is_checkpoint_pair(pair, bag) -> bool:
-    a, b = pair
-    return any(
-        a[j] != b[j] and (a[j] in bag or b[j] in bag) for j in range(len(a))
-    )
-
-
-def sequence_violations(seq, bag, graph: Graph, instance: Instance) -> list[int]:
-    """Numbers of the signature properties the sequence violates.
-
-    Property 3 (constant tuples between checkpoints) is encoded by the
-    chained-pair representation itself; a chaining break reports 3.
-    """
-    bag = frozenset(bag)
-    seq = tuple(tuple(p) for p in seq)
-    k = instance.k
-    _check_shape(seq, bag, k)
-    bad: set[int] = set()
-    if seq:
-        first, last = seq[0][0], seq[-1][1]
-        for i, r in enumerate(instance.robots):
-            if r.start in bag:
-                if first[i] != r.start:
-                    bad.add(1)
-            elif not _is_symbol(first[i]):
-                bad.add(1)
-            if r.goal is None:
-                continue
-            if r.goal in bag:
-                if last[i] != r.goal:
-                    bad.add(1)
-            elif not _is_symbol(last[i]):
-                bad.add(1)
-    else:
-        if any(r.goal is not None and r.goal != r.start for r in instance.robots):
-            bad.add(1)
-        return sorted(bad)
-    if not _is_checkpoint_pair(seq[0], bag) or not _is_checkpoint_pair(seq[-1], bag):
-        bad.add(2)
-    for prev, nxt in zip(seq, seq[1:]):
-        if prev[1] != nxt[0]:
-            bad.add(3)
-    for pair in seq[1:-1]:
-        if not _is_checkpoint_pair(pair, bag):
-            bad.add(4)
-    for a, b in seq:
-        for j in range(k):
-            if (a[j] == UP and b[j] == DOWN) or (a[j] == DOWN and b[j] == UP):
-                bad.add(5)
-    tuples = [seq[0][0]] + [p[1] for p in seq]
-    for tup in tuples:
-        seen = set()
-        for c in tup:
-            if not _is_symbol(c):
-                if c in seen:
-                    bad.add(6)
-                seen.add(c)
-    for a, b in seq:
-        for j in range(k):
-            v = b[j]
-            if _is_symbol(v) or a[j] == v:
-                continue
-            for jp in range(k):
-                if jp != j and a[jp] == v and b[jp] == v:
-                    bad.add(7)
-    for a, b in seq:
-        used = set()
-        for j in range(k):
-            if a[j] == b[j] or _is_symbol(a[j]) or _is_symbol(b[j]):
-                continue
-            if not graph.has_edge(a[j], b[j]):
-                bad.add(8)
-                continue
-            edge = (min(a[j], b[j]), max(a[j], b[j]))
-            if edge in used:
-                bad.add(8)
-            used.add(edge)
-    return sorted(bad)
-
-
-def is_good_sequence(seq, bag, graph: Graph, instance: Instance) -> bool:
-    """True when the sequence satisfies every signature property."""
-    return not sequence_violations(seq, bag, graph, instance)
+    if nodes[td.root].bag != terminals:
+        raise InputError("root bag must equal the terminal set")
 
 
 # ---------------------------------------------------------------------------
 # DP tables
 
 
+def _is_symbol(x) -> bool:
+    return x == UP or x == DOWN
+
+
 @dataclass
 class DPTable:
-    """Finite checkpoint-sequence entries for one node; absent = sentinel."""
+    """Finite checkpoint-sequence entries for one node, each at most ``rho``."""
 
     rho: int
     entries: dict = field(default_factory=dict)
-
-    @property
-    def sentinel(self) -> int:
-        return self.rho + 1
-
-    def get(self, seq) -> int:
-        return self.entries.get(tuple(tuple(p) for p in seq), self.sentinel)
 
     def put_min(self, seq, value: int) -> None:
         if value > self.rho:
@@ -544,9 +431,10 @@ def dp_forget(node: TDNode, child_table: DPTable) -> DPTable:
     minus the forgotten vertex).  A vertex is forgotten only once all its
     neighbours lie in the child's subtree, so it is not in the child's
     exterior and no child entry steps between it and ``UP``.  Renaming it
-    to ``DOWN`` could break properties 2, 4 and 5 only through such a
-    step.  It is no terminal, and the other properties read only bag
-    vertices and the chaining, which dropping changeless pairs keeps.
+    to ``DOWN`` could break properties 2, 4 and 5 (numbered as in
+    ``tests/_reference.py``) only through such a step.  It is no terminal,
+    and the other properties read only bag vertices and the chaining,
+    which dropping changeless pairs keeps.
     """
     v = node.vertex
     table = DPTable(child_table.rho)
@@ -577,12 +465,12 @@ def dp_introduce(
     Lifting a good entry gives good sequences, so none is re-checked.  The
     new vertex is no terminal (terminals are in every bag); the lift starts
     at the start tuple, where every child entry starts, and keeps every
-    child coordinate that is a bag vertex (properties 1, 2, 4), and chains
-    pair by pair (3).  Only ``UP`` coordinates turn into the new vertex and
-    back (5).  At most one robot holds it: one enters, from outside or along
-    an edge from a bag neighbour, only while it is empty, and leaves back
-    outside or along an edge to the bag vertex the child's robot enters
-    from outside (6, 7, 8).
+    child coordinate that is a bag vertex (properties 1, 2, 4, numbered as
+    in ``tests/_reference.py``), and chains pair by pair (3).  Only ``UP``
+    coordinates turn into the new vertex and back (5).  At most one robot
+    holds it: one enters, from outside or along an edge from a bag
+    neighbour, only while it is empty, and leaves back outside or along an
+    edge to the bag vertex the child's robot enters from outside (6, 7, 8).
 
     Each child pair left to lift adds one pair, so a branch whose chain
     plus those pairs exceeds ``budget // 2`` pairs is cut at once.
@@ -675,8 +563,6 @@ def dp_introduce(
                 if owner is not None and at_v != owner:
                     new_visits = list(visits)
                     new_visits[owner] += 1
-                if nxt == cur:
-                    continue
                 chain.append((cur, nxt))
                 lift(idx + 1, nxt, owner, chain, mu + add, new_visits)
                 chain.pop()
@@ -749,9 +635,9 @@ def dp_join(
     and the outside where no such crossing edge remains.
 
     Merging good entries gives good sequences, so none is re-checked: a
-    merged bag coordinate equals both children's (properties 1-4, 6-8),
-    and ``_merge_coord`` never turns a child's step into one between
-    ``UP`` and ``DOWN`` (5).
+    merged bag coordinate equals both children's (properties 1-4, 6-8 of
+    ``tests/_reference.py``), and ``_merge_coord`` never turns a child's
+    step into one between ``UP`` and ``DOWN`` (5).
 
     Only entries of equal ``_bag_shape`` can merge, so the right table is
     indexed by shape and each left entry meets only its shape's entries.
@@ -867,12 +753,10 @@ def solve_twdp(
             )
         elif node.kind == "forget":
             table = dp_forget(node, kids[0])
-        elif node.kind == "join":
+        else:  # join
             table = dp_join(
                 node, kids[0], kids[1], instance=instance, exterior=exterior_of[nid]
             )
-        else:  # root
-            table = kids[0]
         if len(table.entries) > entry_cap:
             raise LimitError(
                 "checkpoint table exceeded the entry cap; lower the budget "

@@ -13,7 +13,14 @@ from itertools import combinations, product
 from coordmp.core import Graph, InputError, Instance, LimitError, Route, Schedule
 from coordmp.oracle import _decode, _start, _successors
 from coordmp.structure import Haven, _make_haven
-from coordmp.twdp import DPTable, _crosses_outside_non_portal, _is_symbol, _zip_merge
+from coordmp.twdp import (
+    DOWN,
+    UP,
+    DPTable,
+    _crosses_outside_non_portal,
+    _is_symbol,
+    _zip_merge,
+)
 
 
 def legal_parallel_steps(graph: Graph, state: tuple[int, ...]):
@@ -359,3 +366,104 @@ def exact_elimination_order(graph: Graph) -> tuple[list[int], int]:
         mask ^= 1 << v
     order = order_rev[::-1]
     return order, best[(1 << n) - 1]
+
+
+# Checkpoint-sequence goodness: the signature properties every DP table entry
+# must satisfy.  The DP keeps them by construction; tests hold tables to it.
+
+
+def _check_shape(seq, bag, k) -> None:
+    for pair in seq:
+        if len(pair) != 2:
+            raise InputError("sequence items must be tuple pairs")
+        for tup in pair:
+            if len(tup) != k:
+                raise InputError(f"configuration tuples must have {k} entries")
+            for c in tup:
+                if not _is_symbol(c) and c not in bag:
+                    raise InputError(f"symbol {c!r} is not a bag vertex")
+
+
+def _is_checkpoint_pair(pair, bag) -> bool:
+    a, b = pair
+    return any(
+        a[j] != b[j] and (a[j] in bag or b[j] in bag) for j in range(len(a))
+    )
+
+
+def sequence_violations(seq, bag, graph: Graph, instance: Instance) -> list[int]:
+    """Numbers of the signature properties the sequence violates.
+
+    Property 3 (constant tuples between checkpoints) is encoded by the
+    chained-pair representation itself; a chaining break reports 3.
+    """
+    bag = frozenset(bag)
+    seq = tuple(tuple(p) for p in seq)
+    k = instance.k
+    _check_shape(seq, bag, k)
+    bad: set[int] = set()
+    if seq:
+        first, last = seq[0][0], seq[-1][1]
+        for i, r in enumerate(instance.robots):
+            if r.start in bag:
+                if first[i] != r.start:
+                    bad.add(1)
+            elif not _is_symbol(first[i]):
+                bad.add(1)
+            if r.goal is None:
+                continue
+            if r.goal in bag:
+                if last[i] != r.goal:
+                    bad.add(1)
+            elif not _is_symbol(last[i]):
+                bad.add(1)
+    else:
+        if any(r.goal is not None and r.goal != r.start for r in instance.robots):
+            bad.add(1)
+        return sorted(bad)
+    if not _is_checkpoint_pair(seq[0], bag) or not _is_checkpoint_pair(seq[-1], bag):
+        bad.add(2)
+    for prev, nxt in zip(seq, seq[1:]):
+        if prev[1] != nxt[0]:
+            bad.add(3)
+    for pair in seq[1:-1]:
+        if not _is_checkpoint_pair(pair, bag):
+            bad.add(4)
+    for a, b in seq:
+        for j in range(k):
+            if (a[j] == UP and b[j] == DOWN) or (a[j] == DOWN and b[j] == UP):
+                bad.add(5)
+    tuples = [seq[0][0]] + [p[1] for p in seq]
+    for tup in tuples:
+        seen = set()
+        for c in tup:
+            if not _is_symbol(c):
+                if c in seen:
+                    bad.add(6)
+                seen.add(c)
+    for a, b in seq:
+        for j in range(k):
+            v = b[j]
+            if _is_symbol(v) or a[j] == v:
+                continue
+            for jp in range(k):
+                if jp != j and a[jp] == v and b[jp] == v:
+                    bad.add(7)
+    for a, b in seq:
+        used = set()
+        for j in range(k):
+            if a[j] == b[j] or _is_symbol(a[j]) or _is_symbol(b[j]):
+                continue
+            if not graph.has_edge(a[j], b[j]):
+                bad.add(8)
+                continue
+            edge = (min(a[j], b[j]), max(a[j], b[j]))
+            if edge in used:
+                bad.add(8)
+            used.add(edge)
+    return sorted(bad)
+
+
+def is_good_sequence(seq, bag, graph: Graph, instance: Instance) -> bool:
+    """True when the sequence satisfies every signature property."""
+    return not sequence_violations(seq, bag, graph, instance)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from _reference import sequence_violations
 from coordmp.core import (
     Graph,
     InputError,
@@ -33,7 +34,7 @@ from coordmp.approx import approximate, energy_ball_restrict, solve_gcmp1
 from coordmp.generators import generate
 from coordmp.hardness import MulticoloredGraph, reduce_mcc, witness_schedule
 from coordmp.oracle import Limits, solve_critical, solve_exact
-from coordmp.twdp import DOWN, UP, build_nice_td, sequence_violations, solve_twdp
+from coordmp.twdp import DOWN, UP, build_nice_td, solve_twdp
 
 LIMITS = Limits(max_states=500_000)
 

@@ -444,6 +444,18 @@ def test_gcmp1_star_agrees():
     assert res.status == "optimal" and res.energy == solve_exact(inst).energy == 3
 
 
+def test_gcmp1_free_robot_in_another_component_stays_home():
+    # Path 0-1-2-3 holds the mover and a free robot that must give way;
+    # the free robot on the separate edge 4-5 is never in the way.
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (1, 6), (4, 5)])
+    inst = Instance(g, (Robot(0, 0, 3), Robot(1, 2, None), Robot(2, 4, None)))
+    res = solve_gcmp1(inst)
+    exact = solve_exact(inst)
+    assert (res.status, res.energy) == (exact.status, exact.energy) == ("optimal", 5)
+    assert validate_schedule(inst, res.schedule).ok
+    assert set(res.schedule.routes[2].positions) == {4}
+
+
 def test_gcmp1_hub_domain_restriction_preserves_optimum():
     # A 21-vertex star: the hub's degree exceeds the expansion threshold,
     # so the free robot's domain is a strict subset of the vertices.

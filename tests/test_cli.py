@@ -57,6 +57,14 @@ def test_solve_oracle_blocking_infeasible(tmp_path, capsys):
     assert "status=infeasible" in out
 
 
+def test_solve_approx_infeasible_exit_2(tmp_path, capsys):
+    inst = _file(tmp_path, "swap.gcmp", P3_SWAP)
+    code, out, err = run(capsys, "solve", "--alg", "approx", "-i", inst)
+    assert code == 2
+    assert out == "alg=approx energy=- status=infeasible\n"
+    assert err.startswith("infeasible: ")
+
+
 def test_solve_budget_exceeded_exit_1(tmp_path, capsys):
     inst = _file(tmp_path, "tight.gcmp", P3_TIGHT)
     code, out, _ = run(capsys, "solve", "--alg", "oracle", "-i", inst)

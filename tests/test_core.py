@@ -17,7 +17,6 @@ from coordmp.core import (
     bfs_distances,
     conflicts,
     connected_components,
-    energy,
     induced_subgraph,
     layers,
     parse_instance,
@@ -71,6 +70,16 @@ def test_instance_rejects_duplicate_starts_and_goals():
         Instance(g, (Robot(0, 0, 2), Robot(1, 1, 2)))
 
 
+def test_instance_rejects_duplicate_robot_ids():
+    # Solvers key robots by id: approximate used to build a schedule for
+    # the second robot 0 and report it as an internal error.
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    with pytest.raises(InputError, match="robot ids must be pairwise distinct"):
+        Instance(g, (Robot(0, 0, 3), Robot(0, 4, 0)))
+    # Ids need not be 0..k-1: sub-instances keep their robots' ids.
+    assert Instance(g, (Robot(3, 0, 3), Robot(7, 4, 0))).k == 2
+
+
 def test_edge_swap_conflict_detected_at_step_1():
     a = Route((0, 1))
     b = Route((1, 0))
@@ -118,9 +127,9 @@ def test_energy_counts_moves_not_waits():
     # Five moves along a path plus waits cost exactly 5.
     route = Route((0, 0, 1, 2, 2, 3, 4, 5, 5))
     sched = Schedule((route,))
-    assert energy(sched) == 5
+    assert sched.energy == 5
     all_wait = Schedule((Route((3, 3, 3)),))
-    assert energy(all_wait) == 0
+    assert all_wait.energy == 0
 
 
 def test_validate_over_budget_flagged_but_ok():

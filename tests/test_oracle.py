@@ -221,6 +221,11 @@ def test_check_feasible_matches_reference():
         assert (check_feasible(inst) == "feasible") == brute_force_feasible(inst)
 
 
+def test_check_feasible_reports_the_state_cap():
+    inst = generate("grid", width=4, height=4, robots=3, seed=0)
+    assert check_feasible(inst, Limits(1)) == "state-limit"
+
+
 def test_check_feasible_agrees_with_bfs_reference():
     # check_feasible runs the A* core; the breadth-first scan over the same
     # moves is the reference wherever it decides under the same cap.

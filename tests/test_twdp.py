@@ -5,7 +5,12 @@ import pytest
 
 import coordmp.approx
 import coordmp.twdp
-from _reference import all_pairs_join, exact_elimination_order
+from _reference import (
+    all_pairs_join,
+    exact_elimination_order,
+    is_good_sequence,
+    sequence_violations,
+)
 from coordmp.core import Graph, InputError, Instance, LimitError, Robot
 from coordmp.generators import generate, grid_graph, random_connected
 from coordmp.oracle import Limits, solve_exact
@@ -17,8 +22,6 @@ from coordmp.twdp import (
     dp_forget,
     dp_introduce,
     dp_leaf,
-    is_good_sequence,
-    sequence_violations,
     solve_twdp,
     validate_td,
 )
@@ -59,7 +62,7 @@ def test_td_axioms_on_path():
     validate_td(td, g, {0, 2})
     for node in td.nodes.values():
         assert {0, 2} <= node.bag
-        assert node.kind in ("leaf", "introduce", "forget", "join", "root")
+        assert node.kind in ("leaf", "introduce", "forget", "join")
     assert td.nodes[td.root].bag == frozenset({0, 2})
     assert td.base_width == 1
     assert td.width == 2
@@ -80,16 +83,18 @@ def test_td_builds_past_the_old_exact_limit():
 
 def test_td_joins_the_roots_of_a_disconnected_graph():
     # One elimination root per component ({0, 1}, {2, 3}, {4}): each grows
-    # from its own leaf, and two joins at the terminal bag tie them together.
+    # from its own leaf, and two joins at the terminal bag tie them together;
+    # the second join is the root.
     g = Graph(5, [(0, 1), (2, 3)])
     td = build_nice_td(g, {0, 2})
     validate_td(td, g, {0, 2})
     kinds = [node.kind for node in td.nodes.values()]
     assert kinds.count("leaf") == 3 and kinds.count("join") == 2
     root = td.nodes[td.root]
-    assert td.nodes[root.children[0]].kind == "join"
+    assert root.kind == "join" and td.nodes[root.children[0]].kind == "join"
     empty = build_nice_td(Graph(0, []), set())
-    assert sorted(node.kind for node in empty.nodes.values()) == ["leaf", "root"]
+    assert [node.kind for node in empty.nodes.values()] == ["leaf"]
+    assert empty.nodes[empty.root].bag == frozenset()
 
 
 def test_td_min_degree_width_against_exact_reference():
@@ -131,6 +136,13 @@ def test_validate_td_rejects_broken_axioms():
     # Terminals missing from the root bag.
     with pytest.raises(InputError):
         validate_td(td, g, {0, 1, 2})
+    # A root bag beyond the terminal set: cut the top forget off, so the
+    # introduce node of vertex 1 is the root.
+    top = td.nodes[td.root]
+    cut = {nid: n for nid, n in td.nodes.items() if nid != td.root}
+    bad = type(td)(cut, top.children[0], td.width, td.base_width, td.gamma)
+    with pytest.raises(InputError, match="root bag must equal the terminal set"):
+        validate_td(bad, g, {0, 2})
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +249,28 @@ def test_dp_leaf_frozen_path_example():
     # The only way to reach the goal: vanish at 0, reappear at 2; no
     # bag-internal edge exists, so the realization costs nothing here.
     hop = (((0,), (UP,)), ((UP,), (2,)))
-    assert table.get(hop) == 0
-    assert table.get(()) == table.sentinel  # mover is not home yet
+    assert table.entries[hop] == 0
+    assert () not in table.entries  # mover is not home yet
     short = dp_leaf(node, inst, 2, rho=10, exterior=node.bag)
-    assert short.get(hop) == short.sentinel  # needs two pairs
+    assert hop not in short.entries  # needs two pairs
 
 
 def test_dp_introduce_frozen_lift():
     _, _, _, (leaf, t1, t2, _) = _p4_chain_tables()
     # Walking 0-1 becomes visible (and paid) once vertex 1 is in the bag.
-    assert t1.get((((0,), (1,)), ((1,), (UP,)), ((UP,), (3,)))) == 1
+    assert t1.entries[((0,), (1,)), ((1,), (UP,)), ((UP,), (3,))] == 1
     # The fully visible walk pays every edge.
     walk = (((0,), (1,)), ((1,), (2,)), ((2,), (3,)))
-    assert t2.get(walk) == 3
+    assert t2.entries[walk] == 3
     # Deferring the whole crossing to the outside remains available.
-    assert t2.get((((0,), (UP,)), ((UP,), (3,)))) == 0
+    assert t2.entries[((0,), (UP,)), ((UP,), (3,))] == 0
 
 
 def test_dp_introduce_respects_separation():
     _, _, _, (_, t1, _, _) = _p4_chain_tables()
     # Entering the introduced vertex from below the bag is impossible.
     below = (((0,), (DOWN,)), ((DOWN,), (1,)), ((1,), (UP,)), ((UP,), (3,)))
-    assert t1.get(below) == t1.sentinel
+    assert below not in t1.entries
 
 
 def test_dp_forget_hides_interactions_with_the_forgotten_vertex():
@@ -266,9 +278,9 @@ def test_dp_forget_hides_interactions_with_the_forgotten_vertex():
     t4 = dp_forget(nodes[4], tables[3])
     # The walk 0-1-2-3 keeps its cost once 1 and 2 are both below the bag;
     # its checkpoints on 1 and 2 merge into one hop through the interior.
-    assert t4.get((((0,), (DOWN,)), ((DOWN,), (3,)))) == 3
+    assert t4.entries[((0,), (DOWN,)), ((DOWN,), (3,))] == 3
     # The crossing deferred to the outside stays free.
-    assert t4.get((((0,), (UP,)), ((UP,), (3,)))) == 0
+    assert t4.entries[((0,), (UP,)), ((UP,), (3,))] == 0
 
 
 # ---------------------------------------------------------------------------
