@@ -23,6 +23,8 @@ from coordmp.core import (
     InputError,
     Instance,
     LimitError,
+    MoveLog,
+    MoveStep,
     Robot,
     Route,
     Schedule,
@@ -32,16 +34,13 @@ from coordmp.core import (
     induced_subgraph,
     layers,
     path_avoiding,
+    schedule_steps,
     shortest_path,
     shortest_path_distance,
+    steps_to_schedule,
     validate_schedule,
 )
-from coordmp.havenswap import (
-    HavenConfiguration,
-    MoveStep,
-    _schedule_to_steps,
-    swap,
-)
+from coordmp.havenswap import swap
 # check_feasible is unused here, but perfbench's traced run wraps
 # coordmp.approx.check_feasible by name and fails if it is missing.
 from coordmp.oracle import (  # noqa: F401
@@ -90,15 +89,6 @@ def _nearest_nice(graph, v, k, radius, cache):
             if cache[u] is not None:
                 return u
     return None
-
-
-def _steps_to_schedule(instance: Instance, steps) -> Schedule:
-    rows = {r.id: [r.start] for r in instance.robots}
-    for step in steps:
-        moved = {rid: v for rid, _, v in step}
-        for rid, row in rows.items():
-            row.append(moved.get(rid, row[-1]))
-    return Schedule(tuple(Route(tuple(rows[r.id])) for r in instance.robots))
 
 
 def _runs(positions):
@@ -179,28 +169,28 @@ class _Pipeline:
     Invariant between routing episodes: every robot is pinned at its goal,
     parked on some selected haven's members, or still waiting to be
     gathered; at most one robot walks at a time, so a snapshot of the other
-    robots' positions stays valid for a whole episode.
+    robots' positions stays valid for a whole episode.  A robot whose goal
+    is its start is pinned from the outset.
     """
 
     def __init__(self, graph, robots, havens, limits):
         self.graph = graph
-        self.robots = robots
         self.havens = havens
         self.limits = limits
         self.member_index = {v: h for h in havens for v in h.members}
-        self.pos = {r.id: r.start for r in robots}
+        self.log = MoveLog({r.id: r.start for r in robots})
         self.goal = {r.id: r.goal for r in robots}
-        self.pinned: dict[int, int] = {}
-        self.steps: list[MoveStep] = []
+        self.pinned = {r.id: r.start for r in robots if r.goal == r.start}
         self.center_dist = {h.center: bfs_distances(graph, h.center) for h in havens}
 
     # -- state primitives ---------------------------------------------
 
     def occupants(self, haven):
-        return [rid for rid in sorted(self.pos) if self.pos[rid] in haven.members]
+        pos = self.log.pos
+        return [rid for rid in sorted(pos) if pos[rid] in haven.members]
 
     def in_haven(self, rid):
-        return self.member_index.get(self.pos[rid])
+        return self.member_index.get(self.log.pos[rid])
 
     def pinned_vertices(self):
         return set(self.pinned.values())
@@ -212,40 +202,23 @@ class _Pipeline:
         raise RuntimeError("internal error: haven capacity exhausted")
 
     def emit_move(self, rid, v):
-        u = self.pos[rid]
-        for other, p in self.pos.items():
-            if other != rid and p == v:
-                raise UnsupportedStructureError(
-                    f"robot {rid} is blocked at vertex {v} by robot {other} "
-                    "outside any haven"
-                )
-        self.steps.append(((rid, u, v),))
-        self.pos[rid] = v
+        self.log.emit([(rid, self.log.pos[rid], v)])
 
     def emit_swap(self, haven, targets):
-        parts = {rid: self.pos[rid] for rid in self.occupants(haven)}
-        to = dict(parts)
-        to.update(targets)
-        moves = swap(
-            self.graph,
-            haven,
-            HavenConfiguration(haven, parts),
-            HavenConfiguration(haven, to),
-            self.limits,
-        )
-        self.steps.extend(moves)
-        for rid, v in to.items():
-            self.pos[rid] = v
+        parts = {rid: self.log.pos[rid] for rid in self.occupants(haven)}
+        for step in swap(self.graph, haven, parts, parts | targets, self.limits):
+            self.log.emit(list(step))
 
     def relocation(self, haven, rid, q):
         """Swap targets placing rid at q and evicting whoever holds q."""
+        pos = self.log.pos
         targets = {rid: q}
         for other in self.occupants(haven):
-            if other != rid and self.pos[other] == q:
+            if other != rid and pos[other] == q:
                 forbidden = (
                     {q}
                     | self.pinned_vertices()
-                    | {self.pos[o] for o in self.occupants(haven)}
+                    | {pos[o] for o in self.occupants(haven)}
                     | set(targets.values())
                 )
                 targets[other] = self.free_member(haven, forbidden)
@@ -254,12 +227,19 @@ class _Pipeline:
     # -- walking with haven detours -------------------------------------
 
     def follow(self, rid, path):
-        """Advance rid along path, detouring through occupied havens."""
+        """Advance rid along path, detouring through occupied havens.
+
+        False when a robot outside every haven blocks the path; rid then
+        stays where it got to.
+        """
+        occ = self.log.occ
         i = 0
         while i < len(path) - 1:
             nxt = path[i + 1]
             haven = self.member_index.get(nxt)
             if haven is None:
+                if nxt in occ:
+                    return False
                 self.emit_move(rid, nxt)
                 i += 1
                 continue
@@ -275,12 +255,12 @@ class _Pipeline:
                 i += 1
                 continue
             entry = nxt
-            blocker = next((o for o in others if self.pos[o] == entry), None)
+            blocker = occ.get(entry)
             if blocker is not None:
                 forbidden = (
                     {entry, q}
                     | self.pinned_vertices()
-                    | {self.pos[o] for o in others}
+                    | {self.log.pos[o] for o in others}
                 )
                 self.emit_swap(
                     haven, {blocker: self.free_member(haven, forbidden)}
@@ -289,17 +269,13 @@ class _Pipeline:
             if q != entry:
                 self.emit_swap(haven, self.relocation(haven, rid, q))
             i = j
+        return True
 
     def route(self, rid, targets, extra_banned):
-        banned = (self.pinned_vertices() | extra_banned) - {self.pos[rid]}
-        path = path_avoiding(self.graph, self.pos[rid], targets, banned)
-        if path is None:
-            return False
-        try:
-            self.follow(rid, path)
-        except UnsupportedStructureError:
-            return False
-        return True
+        pos = self.log.pos
+        banned = (self.pinned_vertices() | extra_banned) - {pos[rid]}
+        path = path_avoiding(self.graph, pos[rid], targets, banned)
+        return path is not None and self.follow(rid, path)
 
     # -- phases ----------------------------------------------------------
 
@@ -311,18 +287,19 @@ class _Pipeline:
         )
 
     def gather(self):
+        pos = self.log.pos
         waiting = sorted(
             rid
-            for rid in self.pos
+            for rid in pos
             if rid not in self.pinned and self.in_haven(rid) is None
         )
         while waiting:
             progressed = False
             for rid in list(waiting):
-                target = self.member_index[self.haven_depth(self.pos[rid])[1]]
+                target = self.member_index[self.haven_depth(pos[rid])[1]]
                 outside = {
-                    self.pos[o]
-                    for o in self.pos
+                    pos[o]
+                    for o in pos
                     if o != rid
                     and o not in self.pinned
                     and self.in_haven(o) is None
@@ -337,47 +314,33 @@ class _Pipeline:
     def deliver(self):
         # Deepest goals first: a shortest path from a haven to a shallower
         # goal never needs to run through a deeper, already-pinned one.
+        pos = self.log.pos
         pending = [
             rid
-            for rid in self.pos
+            for rid in pos
             if self.goal[rid] is not None and rid not in self.pinned
         ]
         for rid in sorted(
             pending, key=lambda rid: (-self.haven_depth(self.goal[rid])[0], rid)
         ):
-            if self.pos[rid] != self.goal[rid]:
+            if pos[rid] != self.goal[rid]:
                 if not self.route(rid, {self.goal[rid]}, set()):
                     return False
             self.pinned[rid] = self.goal[rid]
         return True
 
-    def run(self):
-        for r in sorted(self.robots, key=lambda r: r.id):
-            if r.goal is not None and r.goal == r.start:
-                self.pinned[r.id] = r.goal
-        if self.gather() and self.deliver():
-            return self.steps
-        return self.fallback()
-
-    def fallback(self):
-        """Blocked routing: discard the prefix and solve exactly.
-
-        One oracle search decides the component: no goal is infeasible,
-        the state cap is a limit, and an optimum gives the schedule.
-        """
-        result = solve_exact(Instance(self.graph, self.robots), self.limits)
-        if result.status == "infeasible":
-            raise InfeasibleError("component goals are unreachable")
-        if result.status == "state-limit":
-            raise LimitError(
-                "constructive routing was blocked and the exact completion "
-                "exceeded the state limit"
-            )
-        return _schedule_to_steps(result.schedule, self.robots)
-
 
 def _solve_component(graph, robots, limits) -> list[MoveStep]:
-    """Steps for one component's robots, at least one of which must move."""
+    """Steps for one component's robots, at least one of which must move.
+
+    The haven routing builds them when every robot endpoint has a nice
+    vertex within ``NICE_RADIUS_FACTOR * k``.  Otherwise, or when the
+    routing is blocked, one exact search decides the component: no goal is
+    infeasible, an optimum gives the steps, and the state cap raises
+    LimitError (blocked routing, ``solve_exact``) or, with no haven nearby,
+    UnsupportedStructureError tagged with the offending endpoint
+    (``solve_critical``, which compresses the corridors).
+    """
     if len(robots) == 1:
         robot = robots[0]
         path = shortest_path(graph, robot.start, robot.goal)
@@ -395,26 +358,30 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
             offender = v
             break
         centers[v] = c
-    if offender is not None:
-        return _degenerate_component(graph, robots, offender, k, limits, cache)
-    havens = []
-    used: set[int] = set()
-    for c in sorted(set(centers.values())):
-        h = cache[c]
-        if h.members & used:
-            continue
-        havens.append(h)
-        used |= h.members
-    return _Pipeline(graph, robots, havens, limits).run()
-
-
-def _degenerate_component(graph, robots, offender, k, limits, cache) -> list[MoveStep]:
-    """No haven cover: solve the component by the corridor-compressed search."""
-    result = solve_critical(Instance(graph, robots), limits)
-    if result.status == "optimal":
-        return _schedule_to_steps(result.schedule, robots)
+    if offender is None:
+        havens = []
+        used: set[int] = set()
+        for c in sorted(set(centers.values())):
+            h = cache[c]
+            if h.members & used:
+                continue
+            havens.append(h)
+            used |= h.members
+        pipe = _Pipeline(graph, robots, havens, limits)
+        if pipe.gather() and pipe.deliver():
+            return pipe.log.steps
+        result = solve_exact(Instance(graph, robots), limits)
+    else:
+        result = solve_critical(Instance(graph, robots), limits)
     if result.status == "infeasible":
         raise InfeasibleError("component goals are unreachable")
+    if result.status == "optimal":
+        return schedule_steps(result.schedule, robots)
+    if offender is None:
+        raise LimitError(
+            "constructive routing was blocked and the exact completion "
+            "exceeded the state limit"
+        )
     tag = classify_vertex(graph, offender, k, nice_cache=cache)
     raise UnsupportedStructureError(
         f"vertex {offender} is farther than {NICE_RADIUS_FACTOR}*k from every "
@@ -487,7 +454,7 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
         if not any(r.goal is not None and r.goal != r.start for r in robots):
             continue
         steps.extend(_solve_component(instance.graph, robots, limits))
-    schedule = _cut_loops(instance, _steps_to_schedule(instance, steps))
+    schedule = _cut_loops(instance, steps_to_schedule(instance.robots, steps))
     return _report(instance, schedule, lower_bound)
 
 

@@ -184,6 +184,62 @@ class Schedule:
         return sum(r.moves() for r in self.routes)
 
 
+# One parallel step: the (robot id, from, to) moves made at once.  Robots
+# not named wait; a list of steps is the constructive solvers' schedule.
+MoveStep = tuple[tuple[int, int, int], ...]
+
+
+class MoveLog:
+    """Mutable robot positions and occupancy plus the steps that moved them."""
+
+    def __init__(self, positions: dict[int, int]):
+        self.pos = dict(positions)
+        self.occ = {v: r for r, v in positions.items()}
+        self.steps: list[MoveStep] = []
+
+    def emit(self, moves: list[tuple[int, int, int]]) -> None:
+        vacated = {u for _, u, _ in moves}
+        for robot, u, v in moves:
+            assert self.pos[robot] == u, "move source out of sync"
+            assert self.occ.get(v) is None or v in vacated, "move target occupied"
+        for robot, u, _ in moves:
+            del self.occ[u]
+        for robot, _, v in moves:
+            assert v not in self.occ, "two robots moved to one vertex"
+            self.occ[v] = robot
+            self.pos[robot] = v
+        self.steps.append(tuple(moves))
+
+    def walk(self, robot: int, path: list[int]) -> None:
+        for u, v in zip(path, path[1:]):
+            self.emit([(robot, u, v)])
+
+
+def steps_to_schedule(robots, steps) -> Schedule:
+    """The schedule of ``robots`` (in order) that makes ``steps`` one by one."""
+    rows = {r.id: [r.start] for r in robots}
+    for step in steps:
+        moved = {rid: v for rid, _, v in step}
+        for rid, row in rows.items():
+            row.append(moved.get(rid, row[-1]))
+    return Schedule(tuple(Route(tuple(rows[r.id])) for r in robots))
+
+
+def schedule_steps(schedule: Schedule, robots) -> list[MoveStep]:
+    """The steps of a schedule over ``robots`` (one per route), all-wait
+    steps dropped."""
+    steps = []
+    for t in range(schedule.horizon):
+        moves = tuple(
+            (robots[i].id, route.positions[t], route.positions[t + 1])
+            for i, route in enumerate(schedule.routes)
+            if route.positions[t] != route.positions[t + 1]
+        )
+        if moves:
+            steps.append(moves)
+    return steps
+
+
 @dataclass(frozen=True)
 class ConflictReport:
     """Earliest conflict between two routes: kind is vertex or edge-swap."""
@@ -303,7 +359,7 @@ def bfs_distances(graph: Graph, source: int) -> list[int | None]:
 def shortest_path_distance(graph: Graph, u: int, v: int) -> int | None:
     """BFS distance between two vertices; None when disconnected."""
     if not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise InputError(f"vertex out of range: {u if u >= graph.n else v}")
+        raise InputError(f"vertex out of range: {v if 0 <= u < graph.n else u}")
     if u == v:
         return 0
     return bfs_distances(graph, u)[v]

@@ -74,6 +74,8 @@ def place_robots(
 
     The last ``free_robots`` of them get no destination.
     """
+    if k < 0:
+        raise InputError(f"robot count must be nonnegative, got {k}")
     if k > graph.n:
         raise InputError(f"cannot place {k} robots on {graph.n} vertices")
     if not 0 <= free_robots <= k:

@@ -17,9 +17,10 @@ from coordmp.core import (
     Graph,
     InputError,
     Instance,
+    MoveLog,
     Robot,
-    Route,
     Schedule,
+    steps_to_schedule,
 )
 
 
@@ -140,13 +141,21 @@ def reduce_mcc(mcg: MulticoloredGraph) -> Reduction:
     courier robot per part pair runs from its source hub to its sink hub.
     Each edge becomes a corridor of ``d = κ³`` subdivision vertices; at
     this length the budget ``2κ + C(κ,2)·(d+3)`` can be met if and only if
-    the graph has a clique with one vertex per part.
+    the graph has a clique with one vertex per part.  Raises InputError
+    when a part label equals a gadget vertex name (see ``Reduction``).
     """
     kappa = mcg.kappa
     d = kappa**3
     names: dict[str, int] = {}
+    labels = sum(len(part) for part in mcg.parts)
 
     def add(name: str) -> int:
+        if name in names:
+            raise InputError(
+                f"part label {name!r} equals a gadget vertex name"
+                if names[name] < labels
+                else f"two gadget vertices are named {name!r}"
+            )
         names[name] = len(names)
         return names[name]
 
@@ -207,32 +216,17 @@ def witness_schedule(mcg: MulticoloredGraph, clique) -> Schedule:
             raise InputError(f"clique is missing edge {u}-{v}")
     red = reduce_mcc(mcg)
     names, d = red.names, red.subdivision
-    positions = [r.start for r in red.instance.robots]
-    robot_at = {r.start: r.id for r in red.instance.robots}
-    steps: list[tuple[int, int]] = []  # (robot, destination), one per step
-
-    def move(rid: int, dest: int) -> None:
-        steps.append((rid, dest))
-        del robot_at[positions[rid]]
-        positions[rid] = dest
-        robot_at[dest] = rid
-
-    for i in range(1, kappa + 1):
-        v = w[i - 1]
-        move(robot_at[names[v]], names[f"pend:{v}"])
+    robots = red.instance.robots
+    log = MoveLog({r.id: r.start for r in robots})
+    for v in w:
+        log.walk(log.occ[names[v]], [names[v], names[f"pend:{v}"]])
     for i, j in _pairs(kappa):
         u, v = w[i - 1], w[j - 1]
-        rid = robot_at[names[f"s:{i}:{j}"]]
-        path = [names[u]]
+        hub = names[f"s:{i}:{j}"]
+        path = [hub, names[u]]
         path.extend(names[f"sub:{u}-{v}:{x}"] for x in range(1, d + 1))
         path.extend((names[v], names[f"t:{i}:{j}"]))
-        for dest in path:
-            move(rid, dest)
-    for i in range(1, kappa + 1):
-        v = w[i - 1]
-        move(robot_at[names[f"pend:{v}"]], names[v])
-    tracks = [[r.start] for r in red.instance.robots]
-    for rid, dest in steps:
-        for other, track in enumerate(tracks):
-            track.append(dest if other == rid else track[-1])
-    return Schedule(tuple(Route(tuple(t)) for t in tracks))
+        log.walk(log.occ[hub], path)
+    for v in w:
+        log.walk(log.occ[names[f"pend:{v}"]], [names[f"pend:{v}"], names[v]])
+    return steps_to_schedule(robots, log.steps)

@@ -14,37 +14,28 @@ from .core import (
     InputError,
     Instance,
     LimitError,
+    MoveLog,
+    MoveStep,
     Robot,
-    Schedule,
+    schedule_steps,
 )
 from .oracle import Limits, solve_restricted
 from .structure import Haven, check_haven
 
-MoveStep = tuple[tuple[int, int, int], ...]
 
-
-@dataclass
-class HavenConfiguration:
-    """An injective placement of a robot subset on haven member vertices."""
-
-    haven: Haven
-    placement: dict[int, int]
-
-    def __post_init__(self):
-        seen = set()
-        for robot, vertex in self.placement.items():
-            if vertex not in self.haven.members:
-                raise InputError(
-                    f"robot {robot} placed at {vertex}, outside the haven"
-                )
-            if vertex in seen:
-                raise InputError("placement is not injective")
-            seen.add(vertex)
-        if len(self.placement) > self.haven.k:
-            raise InputError(
-                f"{len(self.placement)} robots exceed the haven capacity "
-                f"k={self.haven.k}"
-            )
+def _check_placement(haven: Haven, placement: dict[int, int]) -> None:
+    """InputError unless at most k robots sit on distinct haven members."""
+    seen = set()
+    for robot, vertex in placement.items():
+        if vertex not in haven.members:
+            raise InputError(f"robot {robot} placed at {vertex}, outside the haven")
+        if vertex in seen:
+            raise InputError("placement is not injective")
+        seen.add(vertex)
+    if len(placement) > haven.k:
+        raise InputError(
+            f"{len(placement)} robots exceed the haven capacity k={haven.k}"
+        )
 
 
 @dataclass
@@ -78,33 +69,7 @@ def _bfs_tree(graph: Graph, root: int, vertices: frozenset[int]) -> _Tree:
     return _Tree(root=root, parent=parent, depth=depth, vertices=vertices)
 
 
-class _SwapState:
-    """Mutable robot positions plus the emitted move steps."""
-
-    def __init__(self, positions: dict[int, int]):
-        self.pos = dict(positions)
-        self.occ = {v: r for r, v in positions.items()}
-        self.steps: list[MoveStep] = []
-
-    def emit(self, moves: list[tuple[int, int, int]]) -> None:
-        vacated = {u for _, u, _ in moves}
-        for robot, u, v in moves:
-            assert self.pos[robot] == u, "move source out of sync"
-            assert self.occ.get(v) is None or v in vacated, "move target occupied"
-        for robot, u, _ in moves:
-            del self.occ[u]
-        for robot, _, v in moves:
-            assert v not in self.occ, "two robots moved to one vertex"
-            self.occ[v] = robot
-            self.pos[robot] = v
-        self.steps.append(tuple(moves))
-
-    def walk(self, robot: int, path: list[int]) -> None:
-        for u, v in zip(path, path[1:]):
-            self.emit([(robot, u, v)])
-
-
-def _cascade(state: _SwapState, tree: _Tree, target: int) -> None:
+def _cascade(state: MoveLog, tree: _Tree, target: int) -> None:
     """One parallel step shifting every robot on the root->target path one
     edge deeper, filling ``target`` and freeing the root."""
     path = tree.root_path(target)[::-1]  # root ... target
@@ -115,7 +80,7 @@ def _cascade(state: _SwapState, tree: _Tree, target: int) -> None:
     state.emit(moves)
 
 
-def _absorb(state: _SwapState, tree: _Tree, blocked: set[int]) -> bool:
+def _absorb(state: MoveLog, tree: _Tree, blocked: set[int]) -> bool:
     """Push the robot at the tree root one cascade deeper into the tree.
 
     Targets the shallowest (then lowest-id) free vertex whose root path
@@ -140,20 +105,6 @@ def _absorb(state: _SwapState, tree: _Tree, blocked: set[int]) -> bool:
     return True
 
 
-def _schedule_to_steps(schedule: Schedule, robots) -> list[MoveStep]:
-    """Flatten a schedule into per-step move tuples, dropping waits."""
-    steps = []
-    for t in range(schedule.horizon):
-        moves = tuple(
-            (robots[i].id, route.positions[t], route.positions[t + 1])
-            for i, route in enumerate(schedule.routes)
-            if route.positions[t] != route.positions[t + 1]
-        )
-        if moves:
-            steps.append(moves)
-    return steps
-
-
 def _config_search(
     graph: Graph,
     members: frozenset[int],
@@ -168,17 +119,20 @@ def _config_search(
     result = solve_restricted(Instance(graph, robots), domains, limits)
     if result.status != "optimal":
         raise LimitError(f"haven reconfiguration fallback: {result.status}")
-    return _schedule_to_steps(result.schedule, robots)
+    return schedule_steps(result.schedule, robots)
 
 
 def swap(
     graph: Graph,
     haven: Haven,
-    from_config: HavenConfiguration,
-    to_config: HavenConfiguration,
+    start: dict[int, int],
+    target: dict[int, int],
     limits: Limits | None = None,
 ) -> list[MoveStep]:
-    """Move steps taking ``from_config`` to ``to_config`` inside the haven.
+    """Move steps taking the placement ``start`` to ``target`` in the haven.
+
+    A placement maps robot ids to distinct haven members, at most k of
+    them; both must place the same robots (InputError otherwise).
 
     Returns a list of time steps, each a tuple of (robot, from-vertex,
     to-vertex) moves that happen simultaneously (cascades are
@@ -196,11 +150,11 @@ def swap(
     the state cap.
     """
     check_haven(graph, haven)
-    if from_config.haven != haven or to_config.haven != haven:
-        raise InputError("configurations refer to a different haven")
-    if set(from_config.placement) != set(to_config.placement):
-        raise InputError("configurations place different robot sets")
-    if from_config.placement == to_config.placement:
+    _check_placement(haven, start)
+    _check_placement(haven, target)
+    if set(start) != set(target):
+        raise InputError("start and target place different robot sets")
+    if start == target:
         return []
 
     limits = limits or Limits()
@@ -209,8 +163,7 @@ def swap(
     x = haven.x
     t1 = _bfs_tree(graph, w, c1)
     t2 = _bfs_tree(graph, w, c2)
-    state = _SwapState(from_config.placement)
-    target = dict(to_config.placement)
+    state = MoveLog(start)
     robot_ids = sorted(target)
 
     def fallback() -> list[MoveStep]:

@@ -8,31 +8,14 @@ tests run it to check the lemma on concrete schedules.
 from __future__ import annotations
 
 from coordmp.core import (
-    Graph,
     InputError,
     Instance,
     Route,
     Schedule,
     validate_schedule,
 )
-from coordmp.havenswap import HavenConfiguration, MoveStep, swap
+from coordmp.havenswap import swap
 from coordmp.structure import Haven, check_haven
-
-
-def _swap_block(
-    graph: Graph,
-    haven: Haven,
-    current: dict[int, int],
-    target: dict[int, int],
-) -> list[MoveStep]:
-    if current == target:
-        return []
-    return swap(
-        graph,
-        haven,
-        HavenConfiguration(haven, dict(current)),
-        HavenConfiguration(haven, dict(target)),
-    )
 
 
 def _block_target(
@@ -140,7 +123,7 @@ def normalize_around_haven(
         step_entries = entries.get(t, [])
         if step_exits or step_entries:
             target = _block_target(haven, inside, step_exits, step_entries)
-            for step in _swap_block(instance.graph, haven, inside, target):
+            for step in swap(instance.graph, haven, inside, target):
                 emit({robot: v for robot, _, v in step})
             inside = target
         moves: dict[int, int] = {}
@@ -164,7 +147,7 @@ def normalize_around_haven(
             emit(moves)
     # Terminal block: restore original final placement of inside robots.
     final_target = {i: routes[i].positions[horizon] for i in inside}
-    for step in _swap_block(instance.graph, haven, inside, final_target):
+    for step in swap(instance.graph, haven, inside, final_target):
         emit({robot: v for robot, _, v in step})
     inside = final_target
 

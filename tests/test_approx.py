@@ -25,10 +25,17 @@ from coordmp.core import (
     Route,
     Schedule,
     UnsupportedStructureError,
+    steps_to_schedule,
     validate_schedule,
 )
 from coordmp.generators import generate
-from coordmp.oracle import Limits, check_feasible, solve_critical, solve_exact
+from coordmp.oracle import (
+    Limits,
+    SearchResult,
+    check_feasible,
+    solve_critical,
+    solve_exact,
+)
 from coordmp.structure import is_nice
 
 from _reference import apply_steps
@@ -288,16 +295,23 @@ def test_blocked_construction_decides_feasibility(monkeypatch):
     with pytest.raises(LimitError):
         approximate(inst, Limits(max_states=5))
     assert verdicts[1:] == ["state-limit"]
-    # Goals that no schedule reaches: blocked routing reports infeasible.
-    swap = Instance(path_graph(3), (Robot(0, 0, 2), Robot(1, 2, 0)))
-    with pytest.raises(InfeasibleError):
-        _Pipeline(swap.graph, swap.robots, [], Limits()).fallback()
-    assert verdicts[2:] == ["infeasible"]
     # A tree with no haven near its endpoints: the exact fallback decides.
     tree = generate("random-tree", n=7, robots=3, seed=3)
     assert check_feasible(tree) == "infeasible"
     with pytest.raises(InfeasibleError):
         approximate(tree)
+    # Goals that no schedule reaches: blocked routing reports infeasible.
+    # No generated instance with a haven near every endpoint has been
+    # infeasible, so the routing is made to block and the search to say so.
+    monkeypatch.setattr(_Pipeline, "gather", lambda self: False)
+    monkeypatch.setattr(
+        coordmp.approx,
+        "solve_exact",
+        lambda instance, limits: SearchResult("infeasible"),
+    )
+    grid = generate("grid", width=5, height=5, robots=4, seed=1)
+    with pytest.raises(InfeasibleError, match="component goals are unreachable"):
+        approximate(grid)
 
 
 def test_blocked_routing_decided_within_cap():
@@ -614,8 +628,8 @@ def test_ball_preserves_answer_randomized():
 def follow(instance, robot, path, havens):
     """The steps the pipeline emits walking ``robot`` along ``path``."""
     pipe = _Pipeline(instance.graph, instance.robots, havens, Limits())
-    pipe.follow(robot, path)
-    return pipe.steps
+    assert pipe.follow(robot, path)
+    return pipe.log.steps
 
 
 def replay(instance, steps, walker, expected_end):
@@ -623,17 +637,11 @@ def replay(instance, steps, walker, expected_end):
     final = apply_steps(pos, steps)
     assert final[walker] == expected_end
     # Embed into a schedule to check conflict-freeness and adjacency.
-    rows = {r.id: [r.start] for r in instance.robots}
-    for step in steps:
-        moved = {rid: v for rid, _, v in step}
-        for rid, row in rows.items():
-            row.append(moved.get(rid, row[-1]))
     relaxed = Instance(
         instance.graph,
         tuple(Robot(r.id, r.start, None) for r in instance.robots),
     )
-    sched = Schedule(tuple(Route(tuple(rows[r.id])) for r in instance.robots))
-    res = validate_schedule(relaxed, sched)
+    res = validate_schedule(relaxed, steps_to_schedule(relaxed.robots, steps))
     assert res.ok, res.violation
     return final
 
@@ -670,7 +678,10 @@ def test_route_start_inside_haven_swaps_to_exit():
 
 
 def test_route_blocked_outside_haven():
+    # The walker stops in front of a robot outside every haven.
     g = path_graph(6)
     inst = Instance(g, (Robot(0, 0, None), Robot(1, 3, None)))
-    with pytest.raises(UnsupportedStructureError):
-        follow(inst, 0, [0, 1, 2, 3, 4], [])
+    pipe = _Pipeline(g, inst.robots, [], Limits())
+    assert pipe.follow(0, [0, 1, 2, 3, 4]) is False
+    assert pipe.log.pos == {0: 2, 1: 3}
+    assert pipe.log.steps == [((0, 0, 1),), ((0, 1, 2),)]

@@ -306,6 +306,13 @@ def test_reduce_emits_instance_and_name_map(tmp_path, capsys):
     assert code == 3 and out == "" and "--subdiv" in err
 
 
+def test_reduce_rejects_a_part_label_equal_to_a_gadget_name_exit_3(tmp_path, capsys):
+    mcc = _file(tmp_path, "g.mcc", "mcc 1\npart 1 a s:1:2\npart 2 x\nedge a x\n")
+    code, out, err = run(capsys, "reduce", "-i", mcc)
+    assert code == 3 and out == ""
+    assert "part label 's:1:2' equals a gadget vertex name" in err
+
+
 def test_gen_deterministic_stdout(tmp_path, capsys):
     args = ("gen", "grid", "--w", "3", "--h", "2", "--robots", "2",
             "--seed", "5")

@@ -11,6 +11,7 @@ from coordmp.core import (
     Graph,
     InputError,
     Instance,
+    MoveLog,
     Robot,
     Route,
     Schedule,
@@ -24,10 +25,14 @@ from coordmp.core import (
     path_avoiding,
     render_instance,
     render_schedule,
+    schedule_steps,
     shortest_path,
     shortest_path_distance,
+    steps_to_schedule,
     validate_schedule,
 )
+from coordmp.generators import generate
+from coordmp.oracle import solve_exact
 from coordmp.structure import classify_vertex
 
 
@@ -196,6 +201,89 @@ def test_shortest_path_helpers():
     disconnected = Graph(4, [(0, 1), (2, 3)])
     assert shortest_path_distance(disconnected, 0, 3) is None
     assert connected_components(disconnected) == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("u, v", [(-1, 2), (2, -1), (0, 3), (3, 0)])
+def test_shortest_path_distance_names_the_vertex_out_of_range(u, v):
+    bad = u if u in (-1, 3) else v
+    with pytest.raises(InputError, match=rf"^vertex out of range: {bad}$"):
+        shortest_path_distance(Graph(3, [(0, 1)]), u, v)
+
+
+# ---------------------------------------------------------------------------
+# move log and step format
+
+
+def test_move_log_emit_moves_a_cascade():
+    # Robot 1 leads from 1 to 2 while robot 0 follows it onto 1.
+    log = MoveLog({0: 0, 1: 1})
+    log.emit([(1, 1, 2), (0, 0, 1)])
+    assert log.pos == {0: 1, 1: 2}
+    assert log.occ == {1: 0, 2: 1}
+    assert log.steps == [((1, 1, 2), (0, 0, 1))]
+    log.walk(0, [1, 0])
+    assert log.pos == {0: 0, 1: 2} and log.occ == {0: 0, 2: 1}
+    assert log.steps[1:] == [((0, 1, 0),)]
+
+
+def test_move_log_emit_rejects_out_of_sync_source_and_occupied_target():
+    log = MoveLog({0: 0, 1: 1})
+    with pytest.raises(AssertionError, match="move source out of sync"):
+        log.emit([(0, 1, 2)])
+    with pytest.raises(AssertionError, match="move target occupied"):
+        log.emit([(0, 0, 1)])
+    assert log.pos == {0: 0, 1: 1} and log.steps == []
+
+
+def _drop_all_wait_steps(schedule):
+    routes = schedule.routes
+    kept = [
+        t
+        for t in range(1, schedule.horizon + 1)
+        if any(r.positions[t] != r.positions[t - 1] for r in routes)
+    ]
+    return Schedule(
+        tuple(
+            Route((r.positions[0],) + tuple(r.positions[t] for t in kept))
+            for r in routes
+        )
+    )
+
+
+def test_schedule_steps_round_trip_drops_all_wait_steps():
+    checked = 0
+    for kind, size in (
+        ("grid", dict(width=3, height=3)),
+        ("random-tree", dict(n=8)),
+        ("random", dict(n=8, edge_prob=0.3)),
+    ):
+        for seed in range(4):
+            base = generate(kind, robots=3, free_robots=1, seed=seed, **size)
+            # Ids unlike the route indices: steps carry ids, not indices.
+            robots = tuple(
+                Robot(10 - r.id, r.start, r.goal) for r in base.robots
+            )
+            result = solve_exact(Instance(base.graph, robots))
+            if result.status != "optimal":
+                continue
+            s = result.schedule
+            # One all-wait step in the middle, which the steps cannot show.
+            padded = Schedule(
+                tuple(
+                    Route(r.positions[:1] + r.positions[:1] + r.positions[1:])
+                    for r in s.routes
+                )
+            )
+            for sched in (s, padded):
+                steps = schedule_steps(sched, robots)
+                assert all(step for step in steps)
+                assert {rid for step in steps for rid, _, _ in step} <= {
+                    r.id for r in robots
+                }
+                back = steps_to_schedule(robots, steps)
+                assert back == _drop_all_wait_steps(sched)
+            checked += 1
+    assert checked >= 8
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,11 @@ def test_placement_is_injective():
         place_robots(path_graph(3), 2, random.Random(0), free_robots=3)
 
 
+def test_placement_rejects_a_negative_robot_count():
+    with pytest.raises(InputError, match="robot count must be nonnegative, got -1"):
+        place_robots(path_graph(5), -1, random.Random(0))
+
+
 def test_generate_is_byte_deterministic():
     for kind in KINDS:
         kwargs = {"robots": 2, "seed": 11}

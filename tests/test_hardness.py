@@ -111,6 +111,23 @@ def test_single_edge_reduction_shape():
     assert names["sub:a-b:8"] in inst.graph.neighbors(names["b"])
 
 
+@pytest.mark.parametrize(
+    "label", ["s:1:2", "t:1:2", "pend:x", "sub:a-x:1", "sub:a-x:8"]
+)
+def test_reduce_rejects_a_part_label_equal_to_a_gadget_name(label):
+    m = _mcg([["a", label], ["x"]], [("a", "x")])
+    with pytest.raises(InputError, match=f"part label '{label}' equals a gadget"):
+        reduce_mcc(m)
+
+
+def test_reduce_rejects_labels_whose_corridor_names_collide():
+    # Edges (a, b-c) and (a-b, c) both name their first corridor vertex
+    # sub:a-b-c:1.
+    m = _mcg([["a", "a-b"], ["b-c", "c"]], [("a", "b-c"), ("a-b", "c")])
+    with pytest.raises(InputError, match="two gadget vertices are named 'sub:a-b-c:1'"):
+        reduce_mcc(m)
+
+
 def test_no_edge_reduction_is_infeasible():
     m = _mcg([["a"], ["b"]])
     red = reduce_mcc(m)

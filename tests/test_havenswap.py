@@ -12,38 +12,23 @@ from coordmp.core import (
     Robot,
     Route,
     Schedule,
+    steps_to_schedule,
     validate_schedule,
 )
-from coordmp.havenswap import HavenConfiguration, swap
+from coordmp.havenswap import swap
 from coordmp.structure import Haven, check_haven, is_nice
 
 from _lemmas import normalize_around_haven
 from _reference import apply_steps
 
 
-def steps_to_schedule(graph, steps, start, goal):
-    """Embed swap steps into a Schedule over the placement's robots."""
-    robots = sorted(start)
-    pos = {r: [start[r]] for r in robots}
-    for step in steps:
-        moved = {r: v for r, _, v in step}
-        for r in robots:
-            pos[r].append(moved.get(r, pos[r][-1]))
-    instance = Instance(
-        graph, tuple(Robot(r, start[r], goal[r]) for r in robots)
-    )
-    return instance, Schedule(tuple(Route(tuple(pos[r])) for r in robots))
-
-
 def run_swap(graph, haven, start, goal):
-    steps = swap(
-        graph,
-        haven,
-        HavenConfiguration(haven, dict(start)),
-        HavenConfiguration(haven, dict(goal)),
-    )
+    steps = swap(graph, haven, start, goal)
     assert apply_steps(start, steps) == goal
-    instance, schedule = steps_to_schedule(graph, steps, start, goal)
+    instance = Instance(
+        graph, tuple(Robot(r, start[r], goal[r]) for r in sorted(start))
+    )
+    schedule = steps_to_schedule(instance.robots, steps)
     res = validate_schedule(instance, schedule)
     assert res.ok, res.violation
     for route in schedule.routes:
@@ -96,8 +81,7 @@ def random_haven(rng, k):
 
 def test_swap_identity_is_empty():
     g, haven = star_haven()
-    cfg = HavenConfiguration(haven, {7: 1})
-    assert swap(g, haven, cfg, cfg) == []
+    assert swap(g, haven, {7: 1}, {7: 1}) == []
 
 
 def test_swap_star_single_robot_two_steps():
@@ -108,13 +92,8 @@ def test_swap_star_single_robot_two_steps():
 
 def test_swap_rejects_mismatched_robot_sets():
     g, haven = star_haven()
-    with pytest.raises(InputError):
-        swap(
-            g,
-            haven,
-            HavenConfiguration(haven, {1: 1}),
-            HavenConfiguration(haven, {2: 1}),
-        )
+    with pytest.raises(InputError, match="different robot sets"):
+        swap(g, haven, {1: 1}, {2: 1})
 
 
 def test_swap_rejects_malformed_haven():
@@ -127,22 +106,18 @@ def test_swap_rejects_malformed_haven():
         k=haven.k,
     )
     with pytest.raises(InputError):
-        swap(
-            g,
-            broken,
-            HavenConfiguration(broken, {1: 1}),
-            HavenConfiguration(broken, {1: 2}),
-        )
+        swap(g, broken, {1: 1}, {1: 2})
 
 
-def test_configuration_validates_membership_and_injectivity():
-    _, haven = star_haven()
-    with pytest.raises(InputError):
-        HavenConfiguration(haven, {1: 9})
-    with pytest.raises(InputError):
-        HavenConfiguration(haven, {1: 1, 2: 1})
-    with pytest.raises(InputError):
-        HavenConfiguration(haven, {1: 0, 2: 1, 3: 2})  # 3 robots > k=1
+def test_swap_validates_membership_injectivity_and_capacity():
+    # Both placements are checked; an unchanged one is checked too.
+    g, haven = star_haven()
+    with pytest.raises(InputError, match="robot 1 placed at 9, outside the haven"):
+        swap(g, haven, {1: 1}, {1: 9})
+    with pytest.raises(InputError, match="placement is not injective"):
+        swap(g, haven, {1: 1, 2: 1}, {1: 1, 2: 1})
+    with pytest.raises(InputError, match="3 robots exceed the haven capacity k=1"):
+        swap(g, haven, {1: 0, 2: 1, 3: 2}, {1: 0, 2: 1, 3: 2})
 
 
 def test_swap_chain_haven_reversal():
