@@ -198,14 +198,30 @@ class MoveLog:
         self.steps: list[MoveStep] = []
 
     def emit(self, moves: list[tuple[int, int, int]]) -> None:
+        """Make one parallel step; an inconsistent move raises RuntimeError
+        before anything changes."""
         vacated = {u for _, u, _ in moves}
+        targets: dict[int, int] = {}
         for robot, u, v in moves:
-            assert self.pos[robot] == u, "move source out of sync"
-            assert self.occ.get(v) is None or v in vacated, "move target occupied"
+            if self.pos.get(robot) != u:
+                raise RuntimeError(
+                    "internal error: move source out of sync: "
+                    f"robot {robot} is not at vertex {u}"
+                )
+            if v in self.occ and v not in vacated:
+                raise RuntimeError(
+                    "internal error: move target occupied: "
+                    f"robot {robot} moves onto vertex {v}, held by robot {self.occ[v]}"
+                )
+            if v in targets:
+                raise RuntimeError(
+                    "internal error: two robots moved to one vertex: "
+                    f"robots {targets[v]} and {robot} onto vertex {v}"
+                )
+            targets[v] = robot
         for robot, u, _ in moves:
             del self.occ[u]
         for robot, _, v in moves:
-            assert v not in self.occ, "two robots moved to one vertex"
             self.occ[v] = robot
             self.pos[robot] = v
         self.steps.append(tuple(moves))
@@ -356,10 +372,15 @@ def bfs_distances(graph: Graph, source: int) -> list[int | None]:
     return dist
 
 
+def _check_vertices(graph: Graph, *vertices: int) -> None:
+    for x in vertices:
+        if not 0 <= x < graph.n:
+            raise InputError(f"vertex out of range: {x}")
+
+
 def shortest_path_distance(graph: Graph, u: int, v: int) -> int | None:
     """BFS distance between two vertices; None when disconnected."""
-    if not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise InputError(f"vertex out of range: {v if 0 <= u < graph.n else u}")
+    _check_vertices(graph, u, v)
     if u == v:
         return 0
     return bfs_distances(graph, u)[v]
@@ -421,8 +442,7 @@ def path_avoiding(graph: Graph, source: int, targets, banned) -> list[int] | Non
 
 def shortest_path(graph: Graph, u: int, v: int) -> list[int] | None:
     """One shortest path from u to v (lowest-id tie-breaking), or None."""
-    if not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise InputError("vertex out of range")
+    _check_vertices(graph, u, v)
     return path_avoiding(graph, u, {v}, ())
 
 

@@ -15,22 +15,26 @@ walk over configuration tuples whose every step is a genuine checkpoint.
 
 Terminals (all starts and goals) are kept in every bag, which pins the
 first tuple to the starts and the movers' coordinates of the last tuple
-to the goals.
+to the goals.  ``VISIT_CAP`` bounds how often a robot's coordinate changes
+to one value within a sequence: in the leaf, to each bag vertex or to
+``UP``; in an introduce node's lift, to the new vertex.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
-from coordmp.core import Graph, InputError, Instance, LimitError
+from coordmp.core import Graph, InputError, Instance, LimitError, connected_components
 from coordmp.oracle import Limits, SearchResult, solve_exact
 
 UP = -1
 DOWN = -2
 
-# Enumeration throttles: per-robot visit/exit caps inside one sequence, and
-# an entry cap (LimitError beyond it) on the entries of every table, the
-# leaf's enumeration nodes and each introduce node's lift nodes.
+# Enumeration throttles.  VISIT_CAP bounds, per robot and sequence, the
+# leaf's steps onto each bag vertex and its exits to UP, and a lift's
+# entries to the new vertex.  The entry cap (LimitError beyond it) bounds
+# the entries of every table, the leaf's enumeration nodes and each
+# introduce node's lift nodes.
 VISIT_CAP = 2
 DEFAULT_ENTRY_CAP = 200_000
 
@@ -207,25 +211,11 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
     for u, v in graph.edges:
         if not any(v in nodes[nid].bag for nid in holders[u]):
             raise InputError(f"edge ({u}, {v}) appears in no bag")
-    parent = {}
-    for node in nodes.values():
-        for c in node.children:
-            parent[c] = node.id
+    index = {nid: i for i, nid in enumerate(nodes)}
+    links = [(i, index[c]) for nid, i in index.items() for c in nodes[nid].children]
+    tree = Graph(len(nodes), links)
     for v in range(graph.n):
-        anchor = holders[v][0]
-        reached = {anchor}
-        frontier = deque([anchor])
-        holder_set = set(holders[v])
-        while frontier:
-            nid = frontier.popleft()
-            near = list(nodes[nid].children)
-            if nid in parent:
-                near.append(parent[nid])
-            for other in near:
-                if other in holder_set and other not in reached:
-                    reached.add(other)
-                    frontier.append(other)
-        if reached != holder_set:
+        if len(connected_components(tree, [index[nid] for nid in holders[v]])) != 1:
             raise InputError(f"vertex {v} has a disconnected occurrence set")
     for node in nodes.values():
         kind = node.kind
@@ -305,7 +295,6 @@ def dp_leaf(
     """
     bag = node.bag
     g = instance.graph
-    k = instance.k
     for r in instance.robots:
         if r.start not in bag or (r.goal is not None and r.goal not in bag):
             raise InputError("leaf bag must contain every robot start and goal")
@@ -316,49 +305,33 @@ def dp_leaf(
     portal_sorted = sorted(portals)
     start = tuple(r.start for r in instance.robots)
     table = DPTable(rho)
-    counter = [0]
+    count = 0
+    # A coordinate's options in one step: wait, then step to UP (from a
+    # portal) or onto a portal (from UP), then along each bag edge.
+    moves = {UP: (UP, *portal_sorted)}
+    for c in bag_sorted:
+        moves[c] = (c, UP, *adj[c]) if c in portals else (c, *adj[c])
 
     def successors(cur):
-        options = []
-        for i in range(k):
-            c = cur[i]
-            opts = [(c, 0)]
-            if c == UP:
-                opts.extend((z, 0) for z in portal_sorted)
-            else:
-                if c in portals:
-                    opts.append((UP, 0))
-                opts.extend((z, 1) for z in adj[c])
-            options.append(opts)
-        combos = [((), 0)]
-        for opts in options:
-            combos = [
-                (prefix + (val,), cost + c)
-                for prefix, cost in combos
-                for val, c in opts
-            ]
-        for nxt, cost in combos:
+        for nxt in product(*(moves[c] for c in cur)):
             if nxt == cur:
                 continue
             occupied = [c for c in nxt if c != UP]
             if len(occupied) != len(set(occupied)):
                 continue
-            used_edges = set()
-            ok = True
-            for j in range(k):
-                if cur[j] == nxt[j] or cur[j] == UP or nxt[j] == UP:
-                    continue
-                edge = (min(cur[j], nxt[j]), max(cur[j], nxt[j]))
-                if edge in used_edges:
-                    ok = False
-                    break
-                used_edges.add(edge)
-            if ok:
-                yield nxt, cost
+            # Each move along a bag edge costs one; no two robots share one.
+            edges = [
+                (a, b) if a < b else (b, a)
+                for a, b in zip(cur, nxt)
+                if a != b and a != UP and b != UP
+            ]
+            if len(edges) == len(set(edges)):
+                yield nxt, len(edges)
 
-    def dfs(cur, chain, cost, visits, exits):
-        counter[0] += 1
-        if counter[0] > entry_cap:
+    def dfs(cur, chain, cost, visits):
+        nonlocal count
+        count += 1
+        if count > entry_cap:
             raise LimitError("leaf checkpoint enumeration exceeded the entry cap")
         if _end_ok(cur, instance):
             table.put_min(tuple(chain), cost)
@@ -368,42 +341,24 @@ def dp_leaf(
             total = cost + step_cost
             if total > rho:
                 continue
-            new_visits = None
-            new_exits = None
-            feasible = True
-            for j in range(k):
-                if nxt[j] == cur[j]:
+            # Count each robot's steps by the coordinate they lead to: the
+            # keys are (robot, new coordinate).
+            new_visits = visits
+            for key in enumerate(nxt):
+                if key[1] == cur[key[0]]:
                     continue
-                if nxt[j] == UP:
-                    cnt = exits.get(j, 0) + 1
-                    if cnt > VISIT_CAP:
-                        feasible = False
-                        break
-                    if new_exits is None:
-                        new_exits = dict(exits)
-                    new_exits[j] = cnt
-                else:
-                    key = (j, nxt[j])
-                    cnt = visits.get(key, 0) + 1
-                    if cnt > VISIT_CAP:
-                        feasible = False
-                        break
-                    if new_visits is None:
-                        new_visits = dict(visits)
-                    new_visits[key] = cnt
-            if not feasible:
-                continue
-            chain.append((cur, nxt))
-            dfs(
-                nxt,
-                chain,
-                total,
-                new_visits if new_visits is not None else visits,
-                new_exits if new_exits is not None else exits,
-            )
-            chain.pop()
+                cnt = visits.get(key, 0) + 1
+                if cnt > VISIT_CAP:
+                    break
+                if new_visits is visits:
+                    new_visits = dict(visits)
+                new_visits[key] = cnt
+            else:
+                chain.append((cur, nxt))
+                dfs(nxt, chain, total, new_visits)
+                chain.pop()
 
-    dfs(start, [], 0, {}, {})
+    dfs(start, [], 0, {})
     return table
 
 
@@ -484,37 +439,31 @@ def dp_introduce(
     v_portal = v in exterior
     pairs_max = max(0, budget // 2)
     table = DPTable(rho)
-    counter = [0]
-
-    def bump():
-        counter[0] += 1
-        if counter[0] > entry_cap:
-            raise LimitError("introduce lifting exceeded the entry cap")
-
+    count = 0
     starts = tuple(r.start for r in instance.robots)
     for seq, value in child_table.entries.items():
         def lift(idx, cur, at_v, chain, mu, visits):
-            bump()
-            if len(chain) + len(seq) - idx > pairs_max:
-                return
-            if value + mu > rho:
+            nonlocal count
+            count += 1
+            if count > entry_cap:
+                raise LimitError("introduce lifting exceeded the entry cap")
+            if len(chain) + len(seq) - idx > pairs_max or value + mu > rho:
                 return
             if idx == len(seq):
                 table.put_min(tuple(chain), value + mu)
             # Insert a visit event: a robot outside the subtree steps onto
             # the new vertex, or leaves it back outside.  Either move uses
             # an edge leaving the subtree, so the new vertex must have one.
-            if at_v is None:
-                if v_portal:
-                    for i in range(k):
-                        if cur[i] != UP or visits[i] >= VISIT_CAP:
-                            continue
-                        nxt = cur[:i] + (v,) + cur[i + 1 :]
-                        chain.append((cur, nxt))
-                        new_visits = list(visits)
-                        new_visits[i] += 1
-                        lift(idx, nxt, i, chain, mu, new_visits)
-                        chain.pop()
+            if v_portal and at_v is None:
+                for i in range(k):
+                    if cur[i] != UP or visits[i] >= VISIT_CAP:
+                        continue
+                    nxt = cur[:i] + (v,) + cur[i + 1 :]
+                    chain.append((cur, nxt))
+                    new_visits = list(visits)
+                    new_visits[i] += 1
+                    lift(idx, nxt, i, chain, mu, new_visits)
+                    chain.pop()
             elif v_portal:
                 i = at_v
                 nxt = cur[:i] + (UP,) + cur[i + 1 :]
@@ -546,25 +495,18 @@ def dp_introduce(
                 else:
                     opts.append((bi, 0))
                 choice_sets.append(opts)
-            combos = [((), 0, None)]
-            for i, opts in enumerate(choice_sets):
-                grown = []
-                for prefix, add, owner in combos:
-                    for val, cost in opts:
-                        nown = owner
-                        if val == v:
-                            if owner is not None:
-                                continue
-                            nown = i
-                        grown.append((prefix + (val,), add + cost, nown))
-                combos = grown
-            for nxt, add, owner in combos:
+            # At most one robot holds the new vertex.
+            for combo in product(*choice_sets):
+                nxt, costs = zip(*combo)
+                if nxt.count(v) > 1:
+                    continue
+                owner = nxt.index(v) if v in nxt else None
                 new_visits = visits
                 if owner is not None and at_v != owner:
                     new_visits = list(visits)
                     new_visits[owner] += 1
                 chain.append((cur, nxt))
-                lift(idx + 1, nxt, owner, chain, mu + add, new_visits)
+                lift(idx + 1, nxt, owner, chain, mu + sum(costs), new_visits)
                 chain.pop()
 
         lift(0, starts, None, [], 0, [0] * k)

@@ -1,11 +1,15 @@
 """Model and format tests: conflicts, validation, energy, parse/render."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, islice
 
 import pytest
 
+import coordmp
 from coordmp.core import (
     ConflictReport,
     Graph,
@@ -210,6 +214,13 @@ def test_shortest_path_distance_names_the_vertex_out_of_range(u, v):
         shortest_path_distance(Graph(3, [(0, 1)]), u, v)
 
 
+@pytest.mark.parametrize("u, v", [(-1, 2), (2, -1), (0, 3), (3, 0)])
+def test_shortest_path_names_the_vertex_out_of_range(u, v):
+    bad = u if u in (-1, 3) else v
+    with pytest.raises(InputError, match=rf"^vertex out of range: {bad}$"):
+        shortest_path(Graph(3, [(0, 1)]), u, v)
+
+
 # ---------------------------------------------------------------------------
 # move log and step format
 
@@ -228,11 +239,65 @@ def test_move_log_emit_moves_a_cascade():
 
 def test_move_log_emit_rejects_out_of_sync_source_and_occupied_target():
     log = MoveLog({0: 0, 1: 1})
-    with pytest.raises(AssertionError, match="move source out of sync"):
+    with pytest.raises(RuntimeError, match="move source out of sync"):
         log.emit([(0, 1, 2)])
-    with pytest.raises(AssertionError, match="move target occupied"):
+    with pytest.raises(RuntimeError, match="move target occupied"):
         log.emit([(0, 0, 1)])
     assert log.pos == {0: 0, 1: 1} and log.steps == []
+
+
+@pytest.mark.parametrize(
+    "start, step, fault",
+    [
+        (
+            {0: 0, 1: 1},
+            [(0, 0, 1)],
+            "move target occupied: robot 0 moves onto vertex 1, held by robot 1",
+        ),
+        (
+            {0: 0, 1: 2},
+            [(0, 0, 1), (1, 2, 1)],
+            "two robots moved to one vertex: robots 0 and 1 onto vertex 1",
+        ),
+    ],
+    ids=["occupied-target", "shared-target"],
+)
+def test_move_log_emit_changes_nothing_on_a_bad_move(start, step, fault):
+    log = MoveLog(start)
+    # One earlier step out and back, so that a stray appended step shows.
+    log.walk(0, [start[0], 3, start[0]])
+    before = (dict(log.pos), dict(log.occ), list(log.steps))
+    with pytest.raises(RuntimeError, match=rf"^internal error: {fault}$"):
+        log.emit(step)
+    assert (log.pos, log.occ, log.steps) == before
+
+
+def test_move_log_emit_checks_moves_under_python_O():
+    """The checks are not ``assert`` statements, so ``python -O`` keeps them."""
+    code = (
+        "from coordmp.core import MoveLog\n"
+        "log = MoveLog({0: 0, 1: 1})\n"
+        "try:\n"
+        "    log.emit([(0, 0, 1)])\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "print(log.pos, log.occ, log.steps)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coordmp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.splitlines() == [
+        "internal error: move target occupied: robot 0 moves onto vertex 1, "
+        "held by robot 1",
+        "{0: 0, 1: 1} {0: 0, 1: 1} []",
+    ]
 
 
 def _drop_all_wait_steps(schedule):

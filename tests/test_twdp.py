@@ -1,4 +1,5 @@
 """Tests for the tree-decomposition checkpoint dynamic program."""
+import hashlib
 import random
 
 import pytest
@@ -751,6 +752,45 @@ def test_table_totals_pinned(monkeypatch):
             except LimitError:
                 got = ("LimitError", None, sum(built))
             assert got == want, (kind, kw, seed, budget)
+
+
+# SHA-256 over every table the 24 twdp-small base instances (the first six
+# rows above) build at budget 8, as (node id, kind, rho, entries in
+# insertion order), one solve after another.
+PINNED_TABLE_DIGEST = "fde065f01ad3cc4515d008c971d47268eff9ff241d2f8cd7a59aa8f81b494289"
+
+
+def test_every_table_pinned(monkeypatch):
+    """Not just the entry counts: every table keeps its entries, values,
+    insertion order and ``rho``."""
+    digest = hashlib.sha256()
+
+    def hashing(real):
+        def step(node, *args, **kwargs):
+            table = real(node, *args, **kwargs)
+            entries = list(table.entries.items())
+            digest.update(repr((node.id, node.kind, table.rho, entries)).encode())
+            return table
+
+        return step
+
+    for name in ("dp_leaf", "dp_introduce", "dp_forget", "dp_join"):
+        monkeypatch.setattr(
+            coordmp.twdp, name, hashing(getattr(coordmp.twdp, name))
+        )
+    for kind, kw, budget, pins in PINNED_TABLE_TOTALS[:6]:
+        assert budget == 8 and len(pins) == 4
+        for seed in range(4):
+            try:
+                solve_twdp(
+                    generate(kind, seed=seed, **kw),
+                    budget,
+                    limits=Limits(max_states=100_000),
+                    entry_cap=20_000,
+                )
+            except LimitError:
+                pass
+    assert digest.hexdigest() == PINNED_TABLE_DIGEST
 
 
 def test_default_budget_confirms_the_20x2_ladder():
