@@ -32,7 +32,6 @@ from coordmp.core import (
     bfs_distances,
     connected_components,
     induced_subgraph,
-    layers,
     path_avoiding,
     schedule_steps,
     shortest_path,
@@ -41,8 +40,9 @@ from coordmp.core import (
     validate_schedule,
 )
 from coordmp.havenswap import swap
-# check_feasible is unused here, but perfbench's traced run wraps
-# coordmp.approx.check_feasible by name and fails if it is missing.
+# check_feasible and is_nice are unused here, but perfbench's traced run
+# wraps coordmp.approx.check_feasible and coordmp.approx.is_nice by name and
+# fails if either is missing.
 from coordmp.oracle import (  # noqa: F401
     Limits,
     SearchResult,
@@ -51,7 +51,13 @@ from coordmp.oracle import (  # noqa: F401
     solve_exact,
     solve_restricted,
 )
-from coordmp.structure import Haven, classify_vertex, compute_motion_domain, is_nice
+from coordmp.structure import (  # noqa: F401
+    Haven,
+    classify_vertex,
+    compute_motion_domain,
+    is_nice,
+    nearest_nice,
+)
 
 # Every robot endpoint must lie within NICE_RADIUS_FACTOR * k of a nice
 # vertex for the constructive pipeline to apply.
@@ -77,18 +83,7 @@ class RestrictionResult:
 
 
 # ---------------------------------------------------------------------------
-# path and haven-discovery helpers
-
-
-def _nearest_nice(graph, v, k, radius, cache):
-    """Nearest nice vertex within the radius (ties to the lowest id)."""
-    for layer in layers(graph, (v,), radius):
-        for u in layer:
-            if u not in cache:
-                cache[u] = is_nice(graph, u, k)
-            if cache[u] is not None:
-                return u
-    return None
+# loop cutting
 
 
 def _runs(positions):
@@ -192,12 +187,11 @@ class _Pipeline:
     def in_haven(self, rid):
         return self.member_index.get(self.log.pos[rid])
 
-    def pinned_vertices(self):
-        return set(self.pinned.values())
-
-    def free_member(self, haven, forbidden):
+    def spare(self, haven, q):
+        """The lowest member of ``haven`` that is not q, pinned or occupied."""
+        pinned = set(self.pinned.values())
         for v in sorted(haven.members):
-            if v not in forbidden:
+            if v != q and v not in pinned and v not in self.log.occ:
                 return v
         raise RuntimeError("internal error: haven capacity exhausted")
 
@@ -211,18 +205,10 @@ class _Pipeline:
 
     def relocation(self, haven, rid, q):
         """Swap targets placing rid at q and evicting whoever holds q."""
-        pos = self.log.pos
-        targets = {rid: q}
-        for other in self.occupants(haven):
-            if other != rid and pos[other] == q:
-                forbidden = (
-                    {q}
-                    | self.pinned_vertices()
-                    | {pos[o] for o in self.occupants(haven)}
-                    | set(targets.values())
-                )
-                targets[other] = self.free_member(haven, forbidden)
-        return targets
+        holder = self.log.occ.get(q)
+        if holder is None or holder == rid:
+            return {rid: q}
+        return {rid: q, holder: self.spare(haven, q)}
 
     # -- walking with haven detours -------------------------------------
 
@@ -245,35 +231,26 @@ class _Pipeline:
                 continue
             j = max(t for t in range(i + 1, len(path)) if path[t] in haven.members)
             q = path[j]
-            others = [o for o in self.occupants(haven) if o != rid]
             if self.in_haven(rid) is haven:
                 self.emit_swap(haven, self.relocation(haven, rid, q))
                 i = j
                 continue
-            if not others:
+            if not self.occupants(haven):
                 self.emit_move(rid, nxt)
                 i += 1
                 continue
-            entry = nxt
-            blocker = occ.get(entry)
+            blocker = occ.get(nxt)
             if blocker is not None:
-                forbidden = (
-                    {entry, q}
-                    | self.pinned_vertices()
-                    | {self.log.pos[o] for o in others}
-                )
-                self.emit_swap(
-                    haven, {blocker: self.free_member(haven, forbidden)}
-                )
-            self.emit_move(rid, entry)
-            if q != entry:
+                self.emit_swap(haven, {blocker: self.spare(haven, q)})
+            self.emit_move(rid, nxt)
+            if q != nxt:
                 self.emit_swap(haven, self.relocation(haven, rid, q))
             i = j
         return True
 
     def route(self, rid, targets, extra_banned):
         pos = self.log.pos
-        banned = (self.pinned_vertices() | extra_banned) - {pos[rid]}
+        banned = (set(self.pinned.values()) | extra_banned) - {pos[rid]}
         path = path_avoiding(self.graph, pos[rid], targets, banned)
         return path is not None and self.follow(rid, path)
 
@@ -350,18 +327,18 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
         {r.start for r in robots} | {r.goal for r in robots if r.goal is not None}
     )
     cache: dict[int, Haven | None] = {}
-    centers = {}
+    centers = set()
     offender = None
     for v in endpoints:
-        c = _nearest_nice(graph, v, k, NICE_RADIUS_FACTOR * k, cache)
-        if c is None:
+        near = nearest_nice(graph, v, k, NICE_RADIUS_FACTOR * k, cache)
+        if near is None:
             offender = v
             break
-        centers[v] = c
+        centers.add(near[1])
     if offender is None:
         havens = []
         used: set[int] = set()
-        for c in sorted(set(centers.values())):
+        for c in sorted(centers):
             h = cache[c]
             if h.members & used:
                 continue
@@ -443,17 +420,11 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
                 f"robot {r.id}: goal {r.goal} unreachable from start {r.start}"
             )
         lower_bound += d
-    comp_of = {}
-    comps = connected_components(instance.graph)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
     steps: list[MoveStep] = []
-    for ci in range(len(comps)):
-        robots = tuple(r for r in instance.robots if comp_of[r.start] == ci)
-        if not any(r.goal is not None and r.goal != r.start for r in robots):
-            continue
-        steps.extend(_solve_component(instance.graph, robots, limits))
+    for comp in map(set, connected_components(instance.graph)):
+        robots = tuple(r for r in instance.robots if r.start in comp)
+        if any(r.goal is not None and r.goal != r.start for r in robots):
+            steps.extend(_solve_component(instance.graph, robots, limits))
     schedule = _cut_loops(instance, steps_to_schedule(instance.robots, steps))
     return _report(instance, schedule, lower_bound)
 
@@ -479,14 +450,13 @@ def solve_gcmp1(instance: Instance, limits: Limits | None = None) -> SearchResul
         )
     mover = movers[0]
     k = instance.k
-    full = frozenset(range(instance.graph.n))
+    dist = bfs_distances(instance.graph, mover.start)
     domains = []
     for r in instance.robots:
+        d = dist[r.start]
         if r.id == mover.id:
-            domains.append(full)
-            continue
-        d = shortest_path_distance(instance.graph, r.start, mover.start)
-        if d is None:
+            domains.append(frozenset(range(instance.graph.n)))
+        elif d is None:
             # Different component: nothing there ever needs to move.
             domains.append(frozenset({r.start}))
         else:

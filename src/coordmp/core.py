@@ -202,7 +202,13 @@ class MoveLog:
         before anything changes."""
         vacated = {u for _, u, _ in moves}
         targets: dict[int, int] = {}
+        movers: set[int] = set()
         for robot, u, v in moves:
+            if robot in movers:
+                raise RuntimeError(
+                    f"internal error: robot moved twice in one step: robot {robot}"
+                )
+            movers.add(robot)
             if self.pos.get(robot) != u:
                 raise RuntimeError(
                     "internal error: move source out of sync: "

@@ -88,7 +88,8 @@ def _absorb(state: MoveLog, tree: _Tree, blocked: set[int]) -> bool:
     so a single cascade realizes the push.  Returns False when no admissible
     target exists (caller falls back to exact search).
     """
-    assert tree.root in state.occ, "absorb called with a free root"
+    if tree.root not in state.occ:
+        raise RuntimeError("internal error: absorb called with a free root")
     best = None
     for v in tree.vertices:
         if v == tree.root or v in state.occ or v in blocked:
@@ -197,9 +198,8 @@ def swap(
     delivered2: set[int] = set()
 
     def episode(robot: int, dest: int, dest_tree: _Tree) -> bool:
-        p = state.pos[robot]
-        p_tree = t1  # movers always start episodes inside the first tree
-        clear_vertices = set(p_tree.root_path(p)[1:-1])
+        p = state.pos[robot]  # movers always start episodes in the first tree
+        clear_vertices = set(t1.root_path(p)[1:-1])
         clear_vertices |= set(dest_tree.root_path(dest)[:-1])
         clear_vertices.discard(p)
         delivered_all = delivered1 | delivered2
@@ -213,7 +213,7 @@ def swap(
         if any(state.pos[b] not in t1.depth for b in blockers):
             return False
         if not blockers:
-            state.walk(robot, p_tree.root_path(p))
+            state.walk(robot, t1.root_path(p))
             state.walk(robot, dest_tree.root_path(dest)[::-1])
             return True
         both = blockers + [robot]
@@ -241,21 +241,15 @@ def swap(
         state.walk(robot, dest_tree.root_path(dest)[::-1])
         return True
 
-    # Phase 2: second-tree destinations, deepest first.
-    phase2 = [r for r in robot_ids if target[r] in c2 and target[r] != w]
-    phase2.sort(key=lambda r: (-t2.depth[target[r]], target[r]))
-    for robot in phase2:
-        if not episode(robot, target[robot], t2):
-            return fallback()
-        delivered2.add(target[robot])
-
-    # Phase 3: first-tree destinations, deepest first.
-    phase3 = [r for r in robot_ids if target[r] in c1 and target[r] != w]
-    phase3.sort(key=lambda r: (-t1.depth[target[r]], target[r]))
-    for robot in phase3:
-        if not episode(robot, target[robot], t1):
-            return fallback()
-        delivered1.add(target[robot])
+    # Phase 2 delivers the second-tree destinations, then phase 3 the
+    # first-tree ones; each deepest first.
+    for tree, delivered in ((t2, delivered2), (t1, delivered1)):
+        movers = [r for r in robot_ids if target[r] != w and target[r] in tree.vertices]
+        movers.sort(key=lambda r: (-tree.depth[target[r]], target[r]))
+        for robot in movers:
+            if not episode(robot, target[robot], tree):
+                return fallback()
+            delivered.add(target[robot])
 
     # Endgame: robots destined for the center or the spare vertex.  The
     # incremental phases leave them in the first tree; the exact search

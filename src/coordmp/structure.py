@@ -313,7 +313,7 @@ def check_haven(graph: Graph, haven: Haven) -> None:
             _check_vertex(graph, u)
         if haven.center not in cs:
             raise InputError(f"{name} witness set misses the center")
-        if not _is_connected_within(graph, cs):
+        if len(connected_components(graph, cs)) != 1:
             raise InputError(f"{name} witness set is not connected")
     center_only = frozenset((haven.center,))
     if c1 & c2 != center_only or c1 & c3 != center_only or c2 & c3 != center_only:
@@ -327,11 +327,20 @@ def check_haven(graph: Graph, haven: Haven) -> None:
         raise InputError("haven members disagree with distance-k reachability")
 
 
-def _is_connected_within(graph: Graph, vertices: frozenset[int]) -> bool:
-    if not vertices:
-        return False
-    reached = layers(graph, (next(iter(vertices)),), within=vertices)
-    return sum(map(len, reached)) == len(vertices)
+def nearest_nice(graph: Graph, v: int, k: int, radius: int, cache: dict):
+    """``(distance, vertex)`` of the nearest nice vertex within ``radius`` of
+    ``v``, in (distance, id) order; None when there is none.
+
+    ``cache`` maps vertices to their ``is_nice`` result and is filled as the
+    scan goes, so callers on the same (graph, k) may share it.
+    """
+    for d, layer in enumerate(layers(graph, (v,), radius)):
+        for u in layer:
+            if u not in cache:
+                cache[u] = is_nice(graph, u, k)
+            if cache[u] is not None:
+                return d, u
+    return None
 
 
 def two_path_around(graph: Graph, v: int) -> TwoPath:
@@ -398,15 +407,12 @@ def classify_vertex(
             cache[u] = is_nice(graph, u, k)
         return cache[u]
 
-    own = nice(v)
-    if own is not None:
-        return VertexTypeTag(kind="nice", haven=own)
-
-    # type1: a nice vertex within distance 3k (nearest first, lowest id).
-    for d, layer in enumerate(layers(graph, (v,), 3 * k)):
-        for u in layer:
-            if nice(u) is not None:
-                return VertexTypeTag(kind="type1", witness=u, distance=d)
+    # nice: v itself; type1: a nice vertex within distance 3k.
+    near = nearest_nice(graph, v, k, 3 * k, cache)
+    if near == (0, v):
+        return VertexTypeTag(kind="nice", haven=cache[v])
+    if near is not None:
+        return VertexTypeTag(kind="type1", witness=near[1], distance=near[0])
 
     # type2: v on a degree-2 path with both attachments nice.
     if graph.degree(v) == 2:
@@ -426,25 +432,25 @@ def classify_vertex(
         rest = component.difference(removed)
         return [frozenset(c) for c in connected_components(graph, rest)]
 
+    def two_paths(vertices):
+        """Each maximal degree-2 path met in ``vertices`` once, in order of
+        its first vertex met; pure cycles are skipped."""
+        seen = set()
+        for u in vertices:
+            if graph.degree(u) == 2 and u not in seen:
+                tp = two_path_around(graph, u)
+                seen.update(tp.path)
+                if not tp.degenerate_cycle:
+                    yield tp
+
     candidates = []
-    seen_path_vertices = set()
-    for u in ball:
-        if graph.degree(u) != 2 or u in seen_path_vertices:
-            continue
-        tp = two_path_around(graph, u)
-        seen_path_vertices.update(tp.path)
-        if tp.degenerate_cycle:
-            continue
+    for tp in two_paths(ball):
         a1, a2 = tp.attachments
         if a1 == a2:
             continue
         comps = components_without(tp.path)
-        comp_of = {}
-        for comp in comps:
-            for w in comp:
-                comp_of[w] = comp
         for aj, ao in ((a1, a2), (a2, a1)):
-            q = comp_of[aj]
+            q = next(c for c in comps if aj in c)
             if len(q) <= 8 * k and ao not in q and nice(ao) is not None:
                 if v in q or v in tp.path:
                     candidates.append((len(q), tuple(sorted(q)), tp.path, q, ao))
@@ -481,14 +487,7 @@ def classify_vertex(
             pockets=(frozenset((m,)),),
         )
     type4 = []
-    seen_path_vertices = set()
-    for u in sorted(component):
-        if graph.degree(u) != 2 or u in seen_path_vertices:
-            continue
-        tp = two_path_around(graph, u)
-        seen_path_vertices.update(tp.path)
-        if tp.degenerate_cycle:
-            continue
+    for tp in two_paths(sorted(component)):
         comps = components_without(tp.path)
         if len(comps) <= 2 and all(len(c) <= 8 * k for c in comps):
             type4.append((-len(tp.path), tp.path, comps))
@@ -530,42 +529,30 @@ def compute_motion_domain(instance: Instance, robot: int, lam: int) -> MotionDom
     depth = C2 * (lam * k + k**4)
     threshold = C1 * k**4 + k + 1
 
-    applicable = any(
-        is_nice(graph, u, k) is not None
-        for u in chain.from_iterable(layers(graph, (start,), lam))
-    )
-    if not applicable:
-        return MotionDomain(
-            robot=robot,
-            vertices=frozenset(range(graph.n)),
-            applicable=False,
-            lam=lam,
-            depth=depth,
-            degree_threshold=threshold,
-        )
-
-    visited = {start}
-    frontier = [start]
-    d = 0
-    while frontier and d < depth:
-        d += 1
-        nxt = []
-        for u in frontier:
-            if u != start and graph.degree(u) >= threshold:
-                continue
-            for nb in graph.neighbors(u):
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    domain = set(visited)
-    for u in visited:
-        if graph.degree(u) >= threshold:
-            domain.update(graph.neighbors(u)[:threshold])
+    applicable = nearest_nice(graph, start, k, lam, {}) is not None
+    if applicable:
+        vertices = {start}
+        frontier = [start]
+        d = 0
+        while frontier and d < depth:
+            d += 1
+            nxt = []
+            for u in frontier:
+                if u != start and graph.degree(u) >= threshold:
+                    continue
+                for nb in graph.neighbors(u):
+                    if nb not in vertices:
+                        vertices.add(nb)
+                        nxt.append(nb)
+            frontier = nxt
+        hubs = [u for u in vertices if graph.degree(u) >= threshold]
+        vertices.update(*(graph.neighbors(u)[:threshold] for u in hubs))
+    else:
+        vertices = range(graph.n)
     return MotionDomain(
         robot=robot,
-        vertices=frozenset(domain),
-        applicable=True,
+        vertices=frozenset(vertices),
+        applicable=applicable,
         lam=lam,
         depth=depth,
         degree_threshold=threshold,

@@ -1,6 +1,8 @@
 """Constructive solver, single-destination search, and ball preprocessing."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -28,7 +30,7 @@ from coordmp.core import (
     steps_to_schedule,
     validate_schedule,
 )
-from coordmp.generators import generate
+from coordmp.generators import generate, grid_graph, random_tree
 from coordmp.oracle import (
     Limits,
     SearchResult,
@@ -36,7 +38,7 @@ from coordmp.oracle import (
     solve_critical,
     solve_exact,
 )
-from coordmp.structure import is_nice
+from coordmp.structure import classify_vertex, compute_motion_domain, is_nice
 
 from _reference import apply_steps
 
@@ -685,3 +687,91 @@ def test_route_blocked_outside_haven():
     assert pipe.follow(0, [0, 1, 2, 3, 4]) is False
     assert pipe.log.pos == {0: 2, 1: 3}
     assert pipe.log.steps == [((0, 0, 1),), ((0, 1, 2),)]
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the structure analysis and the construction
+
+
+def _canonical(x):
+    """A repr-stable form: sets sorted, dataclasses and exceptions spelled out."""
+    if isinstance(x, frozenset):
+        return ("set", tuple(sorted(x)))
+    if dataclasses.is_dataclass(x):
+        fields = dataclasses.fields(x)
+        return (type(x).__name__,) + tuple(_canonical(getattr(x, f.name)) for f in fields)
+    if isinstance(x, tuple):
+        return tuple(_canonical(e) for e in x)
+    if isinstance(x, Exception):
+        return (type(x).__name__, str(x), _canonical(getattr(x, "tag", None)))
+    return x
+
+
+def _pinned_graphs():
+    """Seeded trees, sparse random graphs (some disconnected), grids, a path,
+    a cycle and the star-corridor-pocket graph of the type3 test."""
+    graphs = [random_tree(12 + 6 * s, random.Random(s)) for s in range(4)]
+    for s in range(6):
+        rng = random.Random(s)
+        n = 14 + 2 * s
+        p = 0.12 + 0.02 * (s % 3)
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    graphs += [grid_graph(3, 3), grid_graph(4, 4), grid_graph(5, 3), grid_graph(6, 2)]
+    graphs += [path_graph(12), cycle_graph(10)]
+    edges = [(0, i) for i in range(1, 6)]
+    edges += [(0, 6)] + [(i, i + 1) for i in range(6, 13)] + [(13, 14)]
+    edges += [(14, 15), (15, 16), (16, 14)]
+    graphs.append(Graph(17, edges))
+    return graphs
+
+
+# The 31 base instances of the benchmark's approx-scale workload.
+APPROX_SCALE_BASES = (
+    ("grid", dict(width=4, height=4, robots=3), 4),
+    ("grid", dict(width=5, height=5, robots=4), 3),
+    ("grid", dict(width=6, height=6, robots=5), 3),
+    ("random", dict(n=16, robots=3, edge_prob=0.2), 4),
+    ("random", dict(n=20, robots=4, edge_prob=0.15), 4),
+    ("random", dict(n=30, robots=5, edge_prob=0.1), 3),
+    ("random-tree", dict(n=16, robots=3), 4),
+    ("random-tree", dict(n=30, robots=4), 3),
+    ("random-tree", dict(n=40, robots=5), 3),
+)
+
+# SHA-256 over every classify_vertex tag (each vertex, k 1-3) and motion
+# domain (k seeded robots, lam 0/1/3/6) of _pinned_graphs, then over
+# approximate's status, energy, lower bound and schedule, or exception type,
+# message and tag, on APPROX_SCALE_BASES at Limits(10_000) and Limits(5).
+PINNED_ANSWER_DIGEST = "31f81f382f5916d13eeac23493a087406b7f51058eff7814666ea6c135402fb8"
+
+
+def test_every_tag_domain_and_answer_pinned():
+    digest = hashlib.sha256()
+    kinds = set()
+    for gi, g in enumerate(_pinned_graphs()):
+        for k in (1, 2, 3):
+            cache: dict = {}
+            for v in range(g.n):
+                tag = classify_vertex(g, v, k, cache)
+                kinds.add(tag.kind)
+                digest.update(repr((gi, k, v, _canonical(tag))).encode())
+            starts = random.Random(10 * gi + k).sample(range(g.n), k)
+            inst = Instance(g, tuple(Robot(i, s, None) for i, s in enumerate(starts)))
+            for rid in range(k):
+                for lam in (0, 1, 3, 6):
+                    dom = compute_motion_domain(inst, rid, lam)
+                    digest.update(repr((gi, k, rid, _canonical(dom))).encode())
+    for kind, kw, count in APPROX_SCALE_BASES:
+        for seed in range(count):
+            inst = generate(kind, seed=seed, **kw)
+            for cap in (10_000, 5):
+                try:
+                    res = approximate(inst, Limits(cap))
+                    got = (res.status, res.energy, res.lower_bound, _canonical(res.schedule))
+                except (LimitError, InfeasibleError, UnsupportedStructureError) as exc:
+                    got = _canonical(exc)
+                digest.update(repr((kind, seed, cap, got)).encode())
+    assert kinds == {"nice", "type1", "type2", "type3", "type4"}
+    assert digest.hexdigest() == PINNED_ANSWER_DIGEST

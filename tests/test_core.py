@@ -1,6 +1,8 @@
 """Model and format tests: conflicts, validation, energy, parse/render."""
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import random
 import subprocess
@@ -272,6 +274,23 @@ def test_move_log_emit_changes_nothing_on_a_bad_move(start, step, fault):
     assert (log.pos, log.occ, log.steps) == before
 
 
+@pytest.mark.parametrize(
+    "step",
+    [[(0, 0, 1), (0, 0, 2)], [(0, 0, 1), (0, 1, 2)]],
+    ids=["same-source", "chained"],
+)
+def test_move_log_emit_rejects_a_robot_moved_twice(step):
+    log = MoveLog({0: 0, 1: 5})
+    log.walk(0, [0, 3, 0])
+    before = (dict(log.pos), dict(log.occ), list(log.steps))
+    with pytest.raises(
+        RuntimeError,
+        match="^internal error: robot moved twice in one step: robot 0$",
+    ):
+        log.emit(step)
+    assert (log.pos, log.occ, log.steps) == before
+
+
 def test_move_log_emit_checks_moves_under_python_O():
     """The checks are not ``assert`` statements, so ``python -O`` keeps them."""
     code = (
@@ -503,3 +522,25 @@ def test_energy_lower_bound_sum_of_distances():
     assert res.ok
     bound = shortest_path_distance(g, 0, 6)
     assert res.energy >= bound
+
+
+def test_every_traced_name_exists():
+    """perfbench's traced run wraps each ``(module, attribute)`` of its
+    ``WRAPS`` table on ``coordmp.<module>`` by name; a dropped name would
+    break only that run."""
+    layers = os.path.join(os.path.dirname(__file__), "..", "perfbench", "layers.py")
+    with open(layers, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    wraps = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "WRAPS"
+    )
+    assert wraps
+    missing = [
+        (module, attr)
+        for module, attr, _ in wraps
+        if not hasattr(importlib.import_module(f"coordmp.{module}"), attr)
+    ]
+    assert missing == []

@@ -1,21 +1,26 @@
 """Haven reconfiguration tests: replay validation, move bounds, normalization."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import coordmp
 from coordmp.core import (
     Graph,
     InputError,
     Instance,
+    MoveLog,
     Robot,
     Route,
     Schedule,
     steps_to_schedule,
     validate_schedule,
 )
-from coordmp.havenswap import swap
+from coordmp.havenswap import _absorb, _bfs_tree, swap
 from coordmp.structure import Haven, check_haven, is_nice
 
 from _lemmas import normalize_around_haven
@@ -118,6 +123,42 @@ def test_swap_validates_membership_injectivity_and_capacity():
         swap(g, haven, {1: 1, 2: 1}, {1: 1, 2: 1})
     with pytest.raises(InputError, match="3 robots exceed the haven capacity k=1"):
         swap(g, haven, {1: 0, 2: 1, 3: 2}, {1: 0, 2: 1, 3: 2})
+
+
+def test_absorb_rejects_a_free_root():
+    g, haven = chain_haven()
+    tree = _bfs_tree(g, 0, haven.witnesses[0])
+    log = MoveLog({5: 1})
+    with pytest.raises(
+        RuntimeError, match="^internal error: absorb called with a free root$"
+    ):
+        _absorb(log, tree, set())
+    assert (log.pos, log.occ, log.steps) == ({5: 1}, {1: 5}, [])
+
+
+def test_absorb_rejects_a_free_root_under_python_O():
+    """The check is not an ``assert`` statement, so ``python -O`` keeps it."""
+    code = (
+        "from coordmp.core import Graph, MoveLog\n"
+        "from coordmp.havenswap import _absorb, _bfs_tree\n"
+        "g = Graph(4, [(0, 1), (1, 2), (0, 3)])\n"
+        "tree = _bfs_tree(g, 0, frozenset({0, 1, 2}))\n"
+        "try:\n"
+        "    _absorb(MoveLog({5: 1}), tree, set())\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coordmp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.splitlines() == ["internal error: absorb called with a free root"]
 
 
 def test_swap_chain_haven_reversal():
