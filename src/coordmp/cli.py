@@ -292,9 +292,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ClassificationError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT

@@ -504,7 +504,7 @@ def parse_instance(text: str) -> Instance:
 
     Lines: ``gcmp 1`` header, ``n <count>``, ``e <u> <v>`` per edge,
     ``r <id> <start> <goal|->`` per robot, optional ``budget <l>``.
-    Vertex tokens are integer ids when every token is a decimal in range;
+    Vertex tokens are ids when every token is an ASCII decimal in range;
     otherwise all tokens are names mapped to ids in first-appearance order.
     """
     lines = _strip_lines(text)
@@ -549,7 +549,8 @@ def parse_instance(text: str) -> Instance:
             vertex_tokens.append(g)
 
     def _is_plain_id(tok: str) -> bool:
-        return tok.isdigit() and (tok == "0" or not tok.startswith("0")) and int(tok) < n
+        plain = tok.isascii() and tok.isdigit()
+        return plain and (tok == "0" or not tok.startswith("0")) and int(tok) < n
 
     if all(_is_plain_id(t) for t in vertex_tokens):
         ids = {t: int(t) for t in vertex_tokens}

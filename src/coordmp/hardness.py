@@ -43,6 +43,8 @@ class MulticoloredGraph:
             if not labels:
                 raise InputError(f"part {idx + 1} is empty")
             for lab in labels:
+                if seen.get(lab) == idx:
+                    raise InputError(f"vertex {lab!r} repeats in part {idx + 1}")
                 if lab in seen:
                     raise InputError(f"vertex {lab!r} appears in two parts")
                 seen[lab] = idx

@@ -106,23 +106,6 @@ def _absorb(state: MoveLog, tree: _Tree, blocked: set[int]) -> bool:
     return True
 
 
-def _config_search(
-    graph: Graph,
-    members: frozenset[int],
-    robot_ids: list[int],
-    start: dict[int, int],
-    target: dict[int, int],
-    limits: Limits,
-) -> list[MoveStep]:
-    """Minimum-energy steps between two placements, confined to the haven."""
-    robots = tuple(Robot(r, start[r], target[r]) for r in sorted(robot_ids))
-    domains = [members] * len(robots)
-    result = solve_restricted(Instance(graph, robots), domains, limits)
-    if result.status != "optimal":
-        raise LimitError(f"haven reconfiguration fallback: {result.status}")
-    return schedule_steps(result.schedule, robots)
-
-
 def swap(
     graph: Graph,
     haven: Haven,
@@ -168,10 +151,13 @@ def swap(
     robot_ids = sorted(target)
 
     def fallback() -> list[MoveStep]:
-        tail = _config_search(
-            graph, haven.members, robot_ids, state.pos, target, limits
-        )
-        return state.steps + tail
+        # Minimum-energy steps from here to target, confined to the haven.
+        robots = tuple(Robot(r, state.pos[r], target[r]) for r in robot_ids)
+        domains = [haven.members] * len(robots)
+        result = solve_restricted(Instance(graph, robots), domains, limits)
+        if result.status != "optimal":
+            raise LimitError(f"haven reconfiguration fallback: {result.status}")
+        return state.steps + schedule_steps(result.schedule, robots)
 
     # Phase 1: evacuate everything into the first tree.
     outside = sorted(r for r, v in state.pos.items() if v not in c1)

@@ -9,9 +9,9 @@ states, and moving robot i from v to u adds (u - v) * n**(k-1-i) to the
 code.
 
 Transitions are parallel conflict-free moves weighted by the number of
-moving robots.  One A* search on goal distances (``_dijkstra``) answers
-every question put to the oracle, one search per call: the optimum, the
-budget verdict and reachability.  Among entries of equal f it pops the
+moving robots.  One A* search on goal distances (``_search``) answers
+every question put to the oracle, one search per call, and returns the
+status where it learns it.  Among entries of equal f it pops the
 deepest first, then the smallest code, so it is deterministic.
 
 Any legal parallel step decomposes into independent chains and fully
@@ -31,7 +31,7 @@ can contain one.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 
@@ -195,32 +195,27 @@ def _reconstruct(instance: Instance, table, goal_code: int) -> Schedule:
     ))
 
 
-def _goal_distances(instance):
-    """Per-robot BFS distance to the goal, as lists indexed by vertex.
-
-    Free robots get all zeros; a mover's vertices outside its goal's
-    component hold None.  Summing the entries at a state's vertices gives a
-    consistent lower bound on remaining energy: every unit of weight moves
-    one robot across one edge, shrinking at most one term by one.
-    """
-    g = instance.graph
-    zeros = [0] * g.n
-    return [
-        zeros if r.goal is None else bfs_distances(g, r.goal)
-        for r in instance.robots
-    ]
-
-
 def _start(instance):
     """(dists, place, start code, start bound) of a search.
+
+    dists[i] is robot i's BFS distance to its goal as a list indexed by
+    vertex: all zeros for a free robot, None outside the goal's component
+    for a mover.  Summing the entries at a state's vertices gives a
+    consistent lower bound on remaining energy: every unit of weight moves
+    one robot across one edge, shrinking at most one term by one.
 
     The bound is None when a mover's goal lies outside its start's
     component.  Robots move only along edges, so none ever leaves that
     component: after this test no search reads a None distance, and a
     configuration is a goal exactly when its bound is 0.
     """
-    n, k = instance.graph.n, instance.k
-    dists = _goal_distances(instance)
+    g = instance.graph
+    n, k = g.n, instance.k
+    zeros = [0] * n
+    dists = [
+        zeros if r.goal is None else bfs_distances(g, r.goal)
+        for r in instance.robots
+    ]
     place = [n ** (k - 1 - i) for i in range(k)]
     start = [r.start for r in instance.robots]
     h = None
@@ -229,7 +224,7 @@ def _start(instance):
     return dists, place, _encode(start, n), h
 
 
-def _dijkstra(instance, successors, limits):
+def _search(instance, successors, limits) -> SearchResult:
     """The search core: A* over packed configuration codes.
 
     successors(state, code, place, dists) yields (next_code, weight, dh,
@@ -246,15 +241,14 @@ def _dijkstra(instance, successors, limits):
     the rest.  Ties on f and g pop the smallest code, that is the
     lexicographically smallest state.  A popped code is decoded once (k
     divmods) for its successors.  One table maps each reached code to (g,
-    parent code, steps).  Returns (goal_code, g, table, expanded) with
-    goal_code None when the search space is exhausted and "limit" when
-    the state cap cut it.
+    parent code, steps).  The instance budget only judges the first goal
+    popped: above it the result is budget-exceeded, otherwise optimal.
     """
     dists, place, code, h = _start(instance)
-    table = {code: (0, None, None)}
     if h is None:
-        return None, None, table, 0  # a goal is cut off even with no other robot
+        return SearchResult("infeasible")  # a goal is cut off even with no other robot
     n, k = instance.graph.n, instance.k
+    table = {code: (0, None, None)}
     heap = [(h, 0, code)]
     max_states = limits.max_states
     expanded = 0
@@ -264,10 +258,13 @@ def _dijkstra(instance, successors, limits):
         if g > table[code][0]:
             continue
         if f == g:
-            return code, g, table, expanded
+            if instance.budget is not None and g > instance.budget:
+                return SearchResult("budget-exceeded", states_expanded=expanded)
+            sched = _reconstruct(instance, table, code)
+            return SearchResult("optimal", g, sched, expanded)
         expanded += 1
         if expanded > max_states:
-            return "limit", None, table, expanded
+            return SearchResult("state-limit", states_expanded=expanded)
         state = _decode(code, n, k)
         for nxt, weight, dh, steps in successors(state, code, place, dists):
             ng = g + weight
@@ -276,33 +273,19 @@ def _dijkstra(instance, successors, limits):
                 continue
             table[nxt] = (ng, code, steps)
             heapq.heappush(heap, (f + weight + dh, -ng, nxt))
-    return None, None, table, expanded
-
-
-def _solve(instance: Instance, successors, limits: Limits) -> SearchResult:
-    goal_code, d, table, expanded = _dijkstra(instance, successors, limits)
-    if goal_code == "limit":
-        return SearchResult("state-limit", states_expanded=expanded)
-    if goal_code is None:
-        return SearchResult("infeasible", states_expanded=expanded)
-    if instance.budget is not None and d > instance.budget:
-        return SearchResult("budget-exceeded", states_expanded=expanded)
-    sched = _reconstruct(instance, table, goal_code)
-    return SearchResult("optimal", d, sched, expanded)
+    return SearchResult("infeasible", states_expanded=expanded)
 
 
 def solve_exact(instance: Instance, limits: Limits | None = None) -> SearchResult:
     """Minimum-energy schedule over all parallel-move schedules.
 
     Deterministic.  One search runs, the same with or without an instance
-    budget; the budget only judges its result: no reachable goal is
-    infeasible, an optimum above the budget is budget-exceeded, and
-    otherwise the result is optimal.  Statuses: optimal, infeasible,
-    budget-exceeded, state-limit.  Emitted schedules always have horizon
-    <= energy.
+    budget, which only judges the optimum found.  Statuses: optimal,
+    infeasible (no reachable goal), budget-exceeded (the optimum exceeds
+    the budget), state-limit.  Emitted schedules have horizon <= energy.
     """
     limits = limits or Limits()
-    return _solve(instance, partial(_successors, instance.graph, None), limits)
+    return _search(instance, partial(_successors, instance.graph, None), limits)
 
 
 def solve_restricted(
@@ -331,7 +314,7 @@ def solve_restricted(
         if robot.goal is not None and robot.goal not in dom:
             raise InputError(f"robot {robot.id}: goal not in domain")
         frozen.append(dom)
-    return _solve(
+    return _search(
         instance, partial(_successors, instance.graph, tuple(frozen)), limits
     )
 
@@ -339,16 +322,14 @@ def solve_restricted(
 def check_feasible(instance: Instance, limits: Limits | None = None) -> str:
     """Reachability verdict: feasible, infeasible, or state-limit.
 
-    An instance with no movers is trivially feasible.  Any feasible verdict
-    is witnessed by some schedule of energy polynomial in the graph size.
+    Reads the status of solve_exact's search on the instance without its
+    budget, optimal as feasible.  Any feasible verdict is witnessed by
+    some schedule of energy polynomial in the graph size.
     """
     limits = limits or Limits()
-    goal_code = _dijkstra(
-        instance, partial(_successors, instance.graph, None), limits
-    )[0]
-    if goal_code == "limit":
-        return "state-limit"
-    return "infeasible" if goal_code is None else "feasible"
+    unbudgeted = replace(instance, budget=None)
+    result = _search(unbudgeted, partial(_successors, instance.graph, None), limits)
+    return "feasible" if result.status == "optimal" else result.status
 
 
 def critical_vertices(instance: Instance) -> frozenset[int]:
@@ -426,6 +407,6 @@ def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchRe
         return solve_exact(instance, limits)
     transits = _transit_edges(g, critical)
     domains = (critical,) * instance.k
-    return _solve(
+    return _search(
         instance, partial(_critical_successors, g, domains, transits), limits
     )

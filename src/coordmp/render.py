@@ -26,10 +26,10 @@ def render_text_trace(instance: Instance, schedule: Schedule) -> str:
     out = [f"trace {instance.k} {t}"]
     for step in range(t):
         movers = []
-        for rid, route in enumerate(schedule.routes):
+        for robot, route in zip(instance.robots, schedule.routes):
             u, v = route.positions[step], route.positions[step + 1]
             if u != v:
-                movers.append(f"robot {rid} {u}->{v}")
+                movers.append(f"robot {robot.id} {u}->{v}")
         out.append(f"step {step + 1}: " + ("; ".join(movers) if movers else "-"))
     return "\n".join(out) + "\n"
 
@@ -47,7 +47,8 @@ def render_dot(instance: Instance, schedule: Schedule | None = None) -> str:
     if schedule is not None:
         if len(schedule.routes) != instance.k:
             raise InputError("schedule robot count does not match the instance")
-        finals = {route.positions[-1]: rid for rid, route in enumerate(schedule.routes)}
+        ends = zip(instance.robots, schedule.routes)
+        finals = {route.positions[-1]: r.id for r, route in ends}
     for v in range(instance.graph.n):
         tags = []
         if v in starts:
@@ -104,7 +105,7 @@ def _svg_frame(instance: Instance, positions) -> str:
             f'  <text x="{x:.1f}" y="{y + 3.5:.1f}" font-size="9" '
             f'text-anchor="middle" fill="#333">{v}</text>'
         )
-    for rid, v in enumerate(positions):
+    for robot, v in zip(instance.robots, positions):
         x, y = pts[v]
         out.append(
             f'  <circle cx="{x:.1f}" cy="{y:.1f}" r="13" fill="#36c" '
@@ -112,7 +113,7 @@ def _svg_frame(instance: Instance, positions) -> str:
         )
         out.append(
             f'  <text x="{x:.1f}" y="{y + 4:.1f}" font-size="10" '
-            f'text-anchor="middle" fill="#fff">{rid}</text>'
+            f'text-anchor="middle" fill="#fff">{robot.id}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -164,6 +164,11 @@ def test_parse_instance_named_vertices_first_appearance_order():
     # left=0, mid=1, right=2 by first appearance.
     assert sorted(inst.graph.edges) == [(0, 1), (1, 2)]
     assert inst.robots[0].start == 0 and inst.robots[0].goal == 2
+    # "²" passes str.isdigit() but is no ASCII decimal, so the file is read
+    # in names mode: 0, 1 and "²" by first appearance.
+    inst = parse_instance("gcmp 1\nn 3\ne 0 1\ne 1 \u00b2\nr 0 0 1\n")
+    assert sorted(inst.graph.edges) == [(0, 1), (1, 2)]
+    assert (inst.robots[0].start, inst.robots[0].goal) == (0, 1)
 
 
 def test_parse_instance_errors_carry_line_numbers():

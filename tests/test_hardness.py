@@ -40,8 +40,12 @@ def _all_two_part_graphs(max_per_part):
 def test_mcg_rejects_bad_inputs():
     with pytest.raises(InputError):
         _mcg([["a"], []])  # empty part
-    with pytest.raises(InputError):
-        _mcg([["a"], ["a"]])  # label in two parts
+    with pytest.raises(InputError, match="'a' appears in two parts"):
+        _mcg([["a"], ["a"]])
+    with pytest.raises(InputError, match="'a' repeats in part 1"):
+        _mcg([["a", "a"], ["x"]])
+    with pytest.raises(InputError, match="'a' repeats in part 1"):
+        parse_mcc("mcc 1\npart 1 a a\npart 2 x\n")
     with pytest.raises(InputError):
         _mcg([["a", "b"], ["c"]], [("a", "b")])  # intra-part edge
     with pytest.raises(InputError):

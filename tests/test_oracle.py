@@ -1,8 +1,10 @@
 """Exact-search tests: frozen small cases plus brute-force cross-checks."""
 from __future__ import annotations
 
+import hashlib
 import random
 from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -12,10 +14,12 @@ from coordmp.core import (
     Instance,
     Robot,
     bfs_distances,
+    layers,
     render_schedule,
     validate_schedule,
 )
 from coordmp.generators import cycle_graph, generate, grid_graph
+from coordmp.hardness import MulticoloredGraph, reduce_mcc
 from coordmp.oracle import (
     Limits,
     _critical_successors,
@@ -223,6 +227,16 @@ def test_check_feasible_matches_reference():
 
 def test_check_feasible_reports_the_state_cap():
     inst = generate("grid", width=4, height=4, robots=3, seed=0)
+    assert check_feasible(inst, Limits(1)) == "state-limit"
+
+
+def test_check_feasible_ignores_the_budget():
+    # The optimum 4 exceeds the budget 3: solve_exact reports
+    # budget-exceeded, while the reachability verdict stays feasible, or
+    # state-limit when the cap cuts the search first.
+    inst = path_instance(5, [Robot(0, 0, 4)], budget=3)
+    assert solve_exact(inst).status == "budget-exceeded"
+    assert check_feasible(inst) == "feasible"
     assert check_feasible(inst, Limits(1)) == "state-limit"
 
 
@@ -667,3 +681,98 @@ robot 1: 1 1 1 2 2 3 3 3 3 3 3 3 3 3 4 5 5 6 7 8 9 10 11 12 12 13 13 14 14 15 17
 robot 2: 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 16 15
 """
     _assert_pinned_run(inst, solve_critical(inst), 255, 32, schedule)
+
+
+# ---------------------------------------------------------------------------
+# every search answer pinned: status, energy, states and schedule
+# ---------------------------------------------------------------------------
+
+
+def _corridor_instance(rng, length):
+    # Two triangle pockets joined by a corridor of `length` edges; robots
+    # start and end in the pockets or at the corridor's ends.
+    far = 3 + length
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    edges += [(3 + i, 4 + i) for i in range(length)]
+    edges += [(far, far + 1), (far + 1, far + 2), (far + 2, far)]
+    ends = [0, 1, 2, 3, far, far + 1, far + 2]
+    k = rng.randrange(2, 4)
+    starts, goals = rng.sample(ends, k), rng.sample(ends, k)
+    robots = tuple(
+        Robot(i, starts[i], goals[i] if i < k - 1 or rng.random() < 0.5 else None)
+        for i in range(k)
+    )
+    return Instance(Graph(far + 3, edges), robots)
+
+
+def _search_digest_instances():
+    out = []
+    for seed in range(4):
+        grids = (
+            dict(width=3, height=3, robots=3, free_robots=seed % 2),
+            dict(width=4, height=4, robots=6, free_robots=1),
+        )
+        out.extend(generate("grid", seed=seed, **kw) for kw in grids)
+        out.append(generate("random-tree", n=12, robots=4, free_robots=1, seed=seed))
+        out.append(_corridor_instance(random.Random(seed), 6 + seed))
+        end = 3 + seed  # two robots swap the ends of a path: infeasible
+        out.append(path_instance(end + 1, [Robot(0, 0, end), Robot(1, end, 0)]))
+    for parts, edges in (
+        ([["a"], ["x"]], [("a", "x")]),
+        ([["a"], ["x"]], []),
+        ([["a", "b"], ["x"]], [("b", "x")]),
+        ([["a"], ["x", "y"]], []),
+    ):
+        out.append(reduce_mcc(MulticoloredGraph(parts, edges)).instance)
+    return out
+
+
+def _restricted_domains(inst):
+    # Each robot keeps the vertices within 2 of its start or its goal.
+    return [
+        set(chain.from_iterable(layers(inst.graph, {r.start, r.goal} - {None}, 2)))
+        for r in inst.robots
+    ]
+
+
+# SHA-256 over (status, energy, states_expanded, schedule) of solve_exact,
+# solve_restricted and solve_critical, and over check_feasible's verdict,
+# on _search_digest_instances with no budget, a budget at the unbudgeted
+# optimum (or the distance bound when there is none) and one below it, at
+# the default state cap and at Limits(20).
+PINNED_SEARCH_DIGEST = "3ee566d73e7c979772df3174f59887780a35fa464c1467142c08af8d2e0edd9e"
+
+
+def test_every_search_answer_pinned():
+    def canonical(res):
+        routes = None if res.schedule is None else tuple(
+            r.positions for r in res.schedule.routes
+        )
+        return (res.status, res.energy, res.states_expanded, routes)
+
+    digest = hashlib.sha256()
+    statuses = set()
+    for idx, inst in enumerate(_search_digest_instances()):
+        top = solve_exact(inst).energy
+        if top is None:  # no optimum: the distance bound stands in
+            top = sum(
+                bfs_distances(inst.graph, r.start)[r.goal] or 0 for r in inst.movers
+            )
+        domains = _restricted_domains(inst)
+        for budget in (None, top, top - 1):
+            if budget is not None and budget < 0:
+                continue
+            case = Instance(inst.graph, inst.robots, budget)
+            for limits in (None, Limits(20)):
+                results = (
+                    solve_exact(case, limits),
+                    solve_restricted(case, domains, limits),
+                    solve_critical(case, limits),
+                )
+                statuses.update(res.status for res in results)
+                got = tuple(canonical(res) for res in results)
+                got += (check_feasible(case, limits),)
+                cap = None if limits is None else limits.max_states
+                digest.update(repr((idx, budget, cap, got)).encode())
+    assert statuses == {"optimal", "infeasible", "budget-exceeded", "state-limit"}
+    assert digest.hexdigest() == PINNED_SEARCH_DIGEST

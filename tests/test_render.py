@@ -62,3 +62,18 @@ def test_all_wait_frames_are_identical():
 def test_frames_mark_goals():
     frames = render_frames(_p3_instance(), _walk_schedule())
     assert "stroke-dasharray" in frames[0]  # goal ring drawn
+
+
+def test_renderers_label_robots_by_id():
+    # Robot 7 is the instance's only robot (index 0): every label names 7.
+    inst = Instance(Graph(3, [(0, 1), (1, 2)]), (Robot(7, 0, 2),))
+    sched = _walk_schedule()  # the optimal schedule
+    trace = render_text_trace(inst, sched).splitlines()
+    assert trace[1:] == ["step 1: robot 7 0->1", "step 2: robot 7 1->2"]
+    dot = render_dot(inst, sched)
+    assert 'v0 [label="0\\nstart r7"];' in dot
+    assert 'v2 [label="2\\ngoal r7, end r7"];' in dot
+    assert "r0" not in dot
+    for frame in render_frames(inst, sched):
+        assert '<text x="' in frame and 'fill="#fff">7</text>' in frame
+        assert 'fill="#fff">0</text>' not in frame
