@@ -26,7 +26,7 @@ from coordmp.core import (
 )
 from coordmp.generators import KINDS, generate
 from coordmp.hardness import parse_mcc, reduce_mcc
-from coordmp.oracle import Limits, solve_critical, solve_exact
+from coordmp.oracle import Limits, SearchResult, solve_critical, solve_exact
 from coordmp.render import render_dot, render_frames, render_text_trace
 from coordmp.structure import ClassificationError, classify_vertex
 from coordmp.twdp import solve_twdp
@@ -133,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _summary(alg: str, energy, status: str) -> None:
-    e = "-" if energy is None else str(energy)
-    print(f"alg={alg} energy={e} status={status}")
-
-
 def _cmd_solve(args) -> int:
     if args.alg != "twdp" and args.checkpoint_budget is not None:
         raise InputError("--checkpoint-budget applies only to --alg twdp")
@@ -150,18 +145,16 @@ def _cmd_solve(args) -> int:
             result = _SOLVERS[args.alg](instance, limits)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        _summary(args.alg, None, "infeasible")
-        return EXIT_INFEASIBLE
+        result = SearchResult("infeasible")
     except (LimitError, UnsupportedStructureError) as exc:
         # approx raises these only at the state cap, twdp at its entry cap.
         print(f"limit reached: {exc}", file=sys.stderr)
-        _summary(args.alg, None,
-                 "entry-limit" if args.alg == "twdp" else "state-limit")
-        return EXIT_LIMIT
-    _summary(args.alg, result.energy, result.status)
+        result = SearchResult("entry-limit" if args.alg == "twdp" else "state-limit")
+    energy = "-" if result.energy is None else result.energy
+    print(f"alg={args.alg} energy={energy} status={result.status}")
     if result.schedule is not None:
         _write(args.out, render_schedule(result.schedule))
-    # state-limit and budget-limited runs end at the limit.
+    # state-limit, entry-limit and budget-limited runs end at the limit.
     return _EXIT_BY_STATUS.get(result.status, EXIT_LIMIT)
 
 

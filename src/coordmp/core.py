@@ -13,9 +13,11 @@ ascending id order (so whole searches run in (distance, id) order), and
 ascending neighbors reaches.  Which haven center, pocket or route a solver
 picks follows from these rules.
 
-This module also owns the line-oriented text formats for instances and
-schedules, which are bit-exact under parse/render round-trips on canonical
-files.
+This module also owns the text formats for instances and schedules, which
+are bit-exact under parse/render round-trips on canonical files, and the
+line and integer rules of all three formats (hardness's mcc too):
+``read_lines`` drops ``#`` comments and blank lines, ``read_int`` takes
+ASCII decimals only.
 """
 from __future__ import annotations
 
@@ -490,13 +492,19 @@ def induced_subgraph(graph: Graph, vertices) -> tuple[Graph, list[int], dict[int
 # Text formats
 # ---------------------------------------------------------------------------
 
-def _strip_lines(text: str) -> list[tuple[int, str]]:
+def read_lines(text: str) -> list[tuple[int, list[str]]]:
+    """``(line number, tokens)`` of each line holding more than a ``#`` comment."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            out.append((lineno, tokens))
     return out
+
+
+def read_int(tok: str) -> int | None:
+    """``tok``'s value when it is ASCII decimal digits only, else None."""
+    return int(tok) if tok.isascii() and tok.isdigit() else None
 
 
 def parse_instance(text: str) -> Instance:
@@ -504,26 +512,25 @@ def parse_instance(text: str) -> Instance:
 
     Lines: ``gcmp 1`` header, ``n <count>``, ``e <u> <v>`` per edge,
     ``r <id> <start> <goal|->`` per robot, optional ``budget <l>``.
-    Vertex tokens are ids when every token is an ASCII decimal in range;
-    otherwise all tokens are names mapped to ids in first-appearance order.
+    Vertex tokens are ids when every token is an ASCII decimal below ``n``
+    without leading zeros; otherwise all tokens are names mapped to ids in
+    first-appearance order.
     """
-    lines = _strip_lines(text)
-    if not lines or lines[0][1].split() != ["gcmp", "1"]:
+    lines = read_lines(text)
+    if not lines or lines[0][1] != ["gcmp", "1"]:
         raise InputError("line 1: expected header 'gcmp 1'")
     n: int | None = None
     edge_tokens: list[tuple[int, str, str]] = []
     robot_tokens: list[tuple[int, str, str, str]] = []
     budget: int | None = None
-    for lineno, line in lines[1:]:
-        parts = line.split()
+    for lineno, parts in lines[1:]:
         kind = parts[0]
         if kind == "n" and len(parts) == 2:
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate vertex count")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad vertex count") from None
+            n = read_int(parts[1])
+            if n is None:
+                raise InputError(f"line {lineno}: bad vertex count")
         elif kind == "e" and len(parts) == 3:
             edge_tokens.append((lineno, parts[1], parts[2]))
         elif kind == "r" and len(parts) == 4:
@@ -531,12 +538,11 @@ def parse_instance(text: str) -> Instance:
         elif kind == "budget" and len(parts) == 2:
             if budget is not None:
                 raise InputError(f"line {lineno}: duplicate budget")
-            try:
-                budget = int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad budget") from None
+            budget = read_int(parts[1])
+            if budget is None:
+                raise InputError(f"line {lineno}: bad budget")
         else:
-            raise InputError(f"line {lineno}: unrecognized line '{line}'")
+            raise InputError(f"line {lineno}: unrecognized line '{' '.join(parts)}'")
     if n is None:
         raise InputError("missing 'n <vertex_count>' line")
 
@@ -548,13 +554,8 @@ def parse_instance(text: str) -> Instance:
         if g != "-":
             vertex_tokens.append(g)
 
-    def _is_plain_id(tok: str) -> bool:
-        plain = tok.isascii() and tok.isdigit()
-        return plain and (tok == "0" or not tok.startswith("0")) and int(tok) < n
-
-    if all(_is_plain_id(t) for t in vertex_tokens):
-        ids = {t: int(t) for t in vertex_tokens}
-    else:
+    ids = {t: read_int(t) for t in vertex_tokens}
+    if not all(i is not None and i < n and str(i) == t for t, i in ids.items()):
         ids = {}
         for t in vertex_tokens:
             if t not in ids:
@@ -571,19 +572,15 @@ def parse_instance(text: str) -> Instance:
         edges.append((ids[u], ids[v]))
     robots = []
     for lineno, rid, s, g in robot_tokens:
-        try:
-            rid_i = int(rid)
-        except ValueError:
-            raise InputError(f"line {lineno}: bad robot id") from None
+        rid_i = read_int(rid)
+        if rid_i is None:
+            raise InputError(f"line {lineno}: bad robot id")
         goal = None if g == "-" else ids[g]
         robots.append(Robot(rid_i, ids[s], goal))
     robots.sort(key=lambda r: r.id)
     if [r.id for r in robots] != list(range(len(robots))):
         raise InputError("robot ids must be 0..k-1 without gaps")
-    try:
-        return Instance(Graph(n, edges), tuple(robots), budget)
-    except InputError as exc:
-        raise InputError(str(exc)) from None
+    return Instance(Graph(n, edges), tuple(robots), budget)
 
 
 def render_instance(instance: Instance) -> str:
@@ -605,28 +602,26 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
     Structural checks only (robot count, id coverage, uniform horizon);
     semantic checks are validate_schedule's job.
     """
-    lines = _strip_lines(text)
+    lines = read_lines(text)
     if not lines:
         raise InputError("empty schedule file")
-    head = lines[0][1].split()
+    head = lines[0][1]
     if len(head) != 3 or head[0] != "sched":
         raise InputError("line 1: expected header 'sched <k> <t>'")
-    try:
-        k, t = int(head[1]), int(head[2])
-    except ValueError:
-        raise InputError("line 1: bad schedule header") from None
+    k, t = read_int(head[1]), read_int(head[2])
+    if k is None or t is None:
+        raise InputError("line 1: bad schedule header")
     if k != instance.k:
         raise InputError(f"schedule has {k} robots, instance has {instance.k}")
     routes: dict[int, Route] = {}
-    for lineno, line in lines[1:]:
-        if not line.startswith("robot "):
+    for lineno, tokens in lines[1:]:
+        if tokens[0] != "robot":
             raise InputError(f"line {lineno}: expected 'robot <id>: ...'")
-        head_part, _, tail = line.partition(":")
-        try:
-            rid = int(head_part.split()[1])
-            positions = tuple(int(tok) for tok in tail.split())
-        except (ValueError, IndexError):
-            raise InputError(f"line {lineno}: malformed route") from None
+        head_part, _, tail = " ".join(tokens).partition(":")
+        rid = read_int(head_part.removeprefix("robot").strip())
+        positions = tuple(read_int(tok) for tok in tail.split())
+        if rid is None or None in positions:
+            raise InputError(f"line {lineno}: malformed route")
         if rid in routes:
             raise InputError(f"line {lineno}: duplicate robot {rid}")
         if len(positions) != t + 1:

@@ -20,6 +20,8 @@ from coordmp.core import (
     MoveLog,
     Robot,
     Schedule,
+    read_int,
+    read_lines,
     steps_to_schedule,
 )
 
@@ -77,30 +79,28 @@ class MulticoloredGraph:
 
 
 def parse_mcc(text: str) -> MulticoloredGraph:
-    """Parse the mcc text format: header, part lines, edge lines."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "mcc 1":
-        raise InputError("multicolored-graph file must start with 'mcc 1'")
+    """Parse the mcc text format (header, part lines, edge lines) by core's
+    line and integer rules."""
+    lines = read_lines(text)
+    if not lines or lines[0][1] != ["mcc", "1"]:
+        raise InputError("line 1: multicolored-graph file must start with 'mcc 1'")
     parts: dict[int, list[str]] = {}
     edges = []
-    for ln in lines[1:]:
-        tokens = ln.split()
+    for lineno, tokens in lines[1:]:
+        ln = " ".join(tokens)
         if tokens[0] == "part":
-            if len(tokens) < 3:
-                raise InputError(f"malformed part line: {ln!r}")
-            try:
-                idx = int(tokens[1])
-            except ValueError:
-                raise InputError(f"malformed part line: {ln!r}") from None
+            idx = read_int(tokens[1]) if len(tokens) >= 3 else None
+            if idx is None:
+                raise InputError(f"line {lineno}: malformed part line: {ln!r}")
             if idx in parts:
-                raise InputError(f"duplicate part {idx}")
+                raise InputError(f"line {lineno}: duplicate part {idx}")
             parts[idx] = tokens[2:]
         elif tokens[0] == "edge":
             if len(tokens) != 3:
-                raise InputError(f"malformed edge line: {ln!r}")
+                raise InputError(f"line {lineno}: malformed edge line: {ln!r}")
             edges.append((tokens[1], tokens[2]))
         else:
-            raise InputError(f"unknown line kind: {ln!r}")
+            raise InputError(f"line {lineno}: unknown line kind: {ln!r}")
     if sorted(parts) != list(range(1, len(parts) + 1)):
         raise InputError("part indices must be 1..κ without gaps")
     ordered = [tuple(parts[i]) for i in sorted(parts)]

@@ -402,10 +402,8 @@ def classify_vertex(
     _check_k(k)
     cache = nice_cache if nice_cache is not None else {}
 
-    def nice(u: int) -> Haven | None:
-        if u not in cache:
-            cache[u] = is_nice(graph, u, k)
-        return cache[u]
+    def nice(u: int) -> bool:
+        return nearest_nice(graph, u, k, 0, cache) is not None
 
     # nice: v itself; type1: a nice vertex within distance 3k.
     near = nearest_nice(graph, v, k, 3 * k, cache)
@@ -419,7 +417,7 @@ def classify_vertex(
         tp = two_path_around(graph, v)
         if not tp.degenerate_cycle:
             a1, a2 = tp.attachments
-            if nice(a1) is not None and nice(a2) is not None:
+            if nice(a1) and nice(a2):
                 return VertexTypeTag(kind="type2", path=tp.path, endpoints=tp.attachments)
 
     # type3: v on a degree-2 path, or inside a pocket of <= 8k vertices cut
@@ -451,11 +449,11 @@ def classify_vertex(
         comps = components_without(tp.path)
         for aj, ao in ((a1, a2), (a2, a1)):
             q = next(c for c in comps if aj in c)
-            if len(q) <= 8 * k and ao not in q and nice(ao) is not None:
+            if len(q) <= 8 * k and ao not in q and nice(ao):
                 if v in q or v in tp.path:
                     candidates.append((len(q), tuple(sorted(q)), tp.path, q, ao))
     for c in ball:
-        if c == v or nice(c) is None:
+        if c == v or not nice(c):
             continue
         comps = components_without((c,))
         if len(comps) < 2:

@@ -209,6 +209,15 @@ def test_solve_input_errors_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_rejects_non_ascii_integers_exit_3(tmp_path, capsys):
+    # Arabic-Indic vertex count and robot id, and an underscored budget.
+    inst = _file(tmp_path, "arabic.gcmp",
+                 "gcmp 1\nn \u0663\ne 0 1\ne 1 2\nr \u0660 0 2\nbudget 1_0\n")
+    code, out, err = run(capsys, "solve", "--alg", "oracle", "-i", inst)
+    assert (code, out) == (3, "")
+    assert err == "input error: line 2: bad vertex count\n"
+
+
 # ---------------------------------------------------------------------------
 # validate / analyze / preprocess
 # ---------------------------------------------------------------------------
@@ -304,6 +313,16 @@ def test_reduce_emits_instance_and_name_map(tmp_path, capsys):
     # The subdivision is always κ³; there is no override flag.
     code, out, err = run(capsys, "reduce", "-i", mcc, "--subdiv", "2")
     assert code == 3 and out == "" and "--subdiv" in err
+
+
+def test_reduce_ignores_comments(tmp_path, capsys):
+    plain = _file(tmp_path, "plain.mcc", "mcc 1\npart 1 a\npart 2 x\nedge a x\n")
+    commented = _file(tmp_path, "commented.mcc",
+                      "mcc 1\npart 1 a # first part\npart 2 x\nedge a x\n")
+    code, out, _ = run(capsys, "reduce", "-i", plain)
+    assert code == 0
+    assert run(capsys, "reduce", "-i", commented) == (0, out, "")
+    assert out.startswith("reduce kappa=2 n=14 robots=3 ")
 
 
 def test_reduce_rejects_a_part_label_equal_to_a_gadget_name_exit_3(tmp_path, capsys):

@@ -193,6 +193,44 @@ def test_parse_instance_comments_and_blank_lines_ignored():
     assert inst.graph.n == 2 and inst.k == 1
 
 
+# Integers in every text format are ASCII decimals: no other script's digits,
+# no fullwidth digits, no underscores, no sign.
+NON_ASCII_DECIMALS = ("\u0663", "\uff13", "1_0", "+1", "-1")
+
+
+@pytest.mark.parametrize("tok", NON_ASCII_DECIMALS)
+@pytest.mark.parametrize("text, message", [
+    ("gcmp 1\nn {}\ne 0 1\nr 0 0 1\n", "line 2: bad vertex count"),
+    ("gcmp 1\nn 2\ne 0 1\nr 0 0 1\nbudget {}\n", "line 5: bad budget"),
+    ("gcmp 1\nn 2\ne 0 1\nr {} 0 1\n", "line 4: bad robot id"),
+])
+def test_parse_instance_reads_integers_as_ascii_decimals(tok, text, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_instance(text.format(tok))
+
+
+@pytest.mark.parametrize("tok", NON_ASCII_DECIMALS)
+@pytest.mark.parametrize("text, message", [
+    ("sched {} 1\nrobot 0: 0 1\n", "line 1: bad schedule header"),
+    ("sched 1 {}\nrobot 0: 0 1\n", "line 1: bad schedule header"),
+    ("sched 1 1\nrobot {}: 0 1\n", "line 2: malformed route"),
+    ("sched 1 1\nrobot 0: 0 {}\n", "line 2: malformed route"),
+])
+def test_parse_schedule_reads_integers_as_ascii_decimals(tok, text, message):
+    inst = parse_instance("gcmp 1\nn 2\ne 0 1\nr 0 0 1\n")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_schedule(text.format(tok), inst)
+
+
+def test_parse_schedule_route_label_is_exactly_robot_and_id():
+    inst = parse_instance("gcmp 1\nn 2\ne 0 1\nr 0 0 1\n")
+    text = "# a comment\nsched 1 1\n\nrobot 0 : 0 1  # spaced\n"
+    assert parse_schedule(text, inst).routes == (Route((0, 1)),)
+    for line in ("robot 0 junk: 0 1", "robot: 0 1", "robot 0 0 1"):
+        with pytest.raises(InputError, match="^line 2: "):
+            parse_schedule(f"sched 1 1\n{line}\n", inst)
+
+
 def test_schedule_round_trip_and_structural_checks():
     inst = parse_instance("gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nr 1 1 -\n")
     text = "sched 2 2\nrobot 0: 0 1 2\nrobot 1: 1 2 2\n"

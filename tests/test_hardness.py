@@ -68,16 +68,32 @@ def test_mcc_render_parse_round_trip():
 
 
 def test_mcc_parse_rejections():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^line 1: .*must start with 'mcc 1'"):
         parse_mcc("part 1 a\n")  # missing header
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^line 3: duplicate part 1$"):
         parse_mcc("mcc 1\npart 1 a\npart 1 b\n")  # duplicate part index
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="without gaps"):
         parse_mcc("mcc 1\npart 1 a\npart 3 b\n")  # gap in part numbering
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^line 4: malformed edge line"):
         parse_mcc("mcc 1\npart 1 a\npart 2 b\nedge a\n")  # malformed edge
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^line 3: unknown line kind"):
         parse_mcc("mcc 1\npart 1 a\nvertex b\n")  # unknown line kind
+    with pytest.raises(InputError, match="^line 2: malformed part line"):
+        parse_mcc("mcc 1\npart 1\npart 2 b\n")  # part without labels
+
+
+@pytest.mark.parametrize("tok", ["\u0663", "\uff13", "1_0", "+1", "-1"])
+def test_mcc_part_index_is_an_ascii_decimal(tok):
+    with pytest.raises(InputError, match="^line 2: malformed part line"):
+        parse_mcc(f"mcc 1\npart {tok} a\npart 2 x\n")
+
+
+def test_mcc_comments_and_blank_lines_ignored():
+    plain = "mcc 1\npart 1 a b\npart 2 x\nedge a x\n"
+    text = ("# gadget input\nmcc 1  # header\n\npart 1 a b # first part\n"
+            "part 2 x\n# no edge to b\nedge a x # the only edge\n")
+    assert parse_mcc(text) == parse_mcc(plain)
+    assert parse_mcc(text).parts == (("a", "b"), ("x",))
 
 
 # ---------------------------------------------------------------------------
