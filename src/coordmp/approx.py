@@ -323,9 +323,8 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
         path = shortest_path(graph, robot.start, robot.goal)
         return [((robot.id, a, b),) for a, b in zip(path, path[1:])]
     k = len(robots)
-    endpoints = sorted(
-        {r.start for r in robots} | {r.goal for r in robots if r.goal is not None}
-    )
+    component = Instance(graph, robots)
+    endpoints = sorted(component.terminals)
     cache: dict[int, Haven | None] = {}
     centers = set()
     offender = None
@@ -347,9 +346,9 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
         pipe = _Pipeline(graph, robots, havens, limits)
         if pipe.gather() and pipe.deliver():
             return pipe.log.steps
-        result = solve_exact(Instance(graph, robots), limits)
+        result = solve_exact(component, limits)
     else:
-        result = solve_critical(Instance(graph, robots), limits)
+        result = solve_critical(component, limits)
     if result.status == "infeasible":
         raise InfeasibleError("component goals are unreachable")
     if result.status == "optimal":
@@ -442,7 +441,6 @@ def solve_gcmp1(instance: Instance, limits: Limits | None = None) -> SearchResul
     degree >= ``C1*k**4 + k + 1`` or past depth ``C2*(lambda*k + k**4)``;
     elsewhere, and with no nice vertex within lambda, it is every vertex.
     """
-    limits = limits or Limits()
     movers = instance.movers
     if len(movers) != 1:
         raise InputError(

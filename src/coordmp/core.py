@@ -4,7 +4,8 @@ Robots occupy distinct vertices of an undirected simple graph and move in
 parallel time steps.  A step is conflict-free when no two robots end it on
 the same vertex and no two robots traverse the same edge in opposite
 directions (following a robot that vacates a vertex in the same step is
-legal).  Energy counts moving steps only; waiting is free.
+legal).  Energy counts moving steps only; waiting is free.  The solvers take
+an instance's terminals (every start and goal) from ``Instance.terminals``.
 
 Graph traversal lives here too, and every solver breaks ties the same way:
 neighbor lists are ascending, ``layers`` lists each breadth-first layer in
@@ -148,6 +149,11 @@ class Instance:
     @property
     def movers(self) -> tuple[Robot, ...]:
         return tuple(r for r in self.robots if r.goal is not None)
+
+    @property
+    def terminals(self) -> frozenset[int]:
+        """Every robot's start and every goal."""
+        return frozenset(r.start for r in self.robots) | {r.goal for r in self.movers}
 
 
 @dataclass(frozen=True)
@@ -517,8 +523,9 @@ def parse_instance(text: str) -> Instance:
     first-appearance order.
     """
     lines = read_lines(text)
-    if not lines or lines[0][1] != ["gcmp", "1"]:
-        raise InputError("line 1: expected header 'gcmp 1'")
+    head_line, head = lines[0] if lines else (1, [])
+    if head != ["gcmp", "1"]:
+        raise InputError(f"line {head_line}: expected header 'gcmp 1'")
     n: int | None = None
     edge_tokens: list[tuple[int, str, str]] = []
     robot_tokens: list[tuple[int, str, str, str]] = []
@@ -605,12 +612,12 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
     lines = read_lines(text)
     if not lines:
         raise InputError("empty schedule file")
-    head = lines[0][1]
+    head_line, head = lines[0]
     if len(head) != 3 or head[0] != "sched":
-        raise InputError("line 1: expected header 'sched <k> <t>'")
+        raise InputError(f"line {head_line}: expected header 'sched <k> <t>'")
     k, t = read_int(head[1]), read_int(head[2])
     if k is None or t is None:
-        raise InputError("line 1: bad schedule header")
+        raise InputError(f"line {head_line}: bad schedule header")
     if k != instance.k:
         raise InputError(f"schedule has {k} robots, instance has {instance.k}")
     routes: dict[int, Route] = {}

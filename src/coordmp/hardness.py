@@ -82,8 +82,11 @@ def parse_mcc(text: str) -> MulticoloredGraph:
     """Parse the mcc text format (header, part lines, edge lines) by core's
     line and integer rules."""
     lines = read_lines(text)
-    if not lines or lines[0][1] != ["mcc", "1"]:
-        raise InputError("line 1: multicolored-graph file must start with 'mcc 1'")
+    head_line, head = lines[0] if lines else (1, [])
+    if head != ["mcc", "1"]:
+        raise InputError(
+            f"line {head_line}: multicolored-graph file must start with 'mcc 1'"
+        )
     parts: dict[int, list[str]] = {}
     edges = []
     for lineno, tokens in lines[1:]:

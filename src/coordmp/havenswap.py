@@ -141,7 +141,6 @@ def swap(
     if start == target:
         return []
 
-    limits = limits or Limits()
     c1, c2, _ = haven.witnesses
     w = haven.center
     x = haven.x

@@ -39,7 +39,6 @@ from coordmp.core import (
     Graph,
     InputError,
     Instance,
-    LimitError,
     Route,
     Schedule,
     bfs_distances,
@@ -250,7 +249,7 @@ def _search(instance, successors, limits) -> SearchResult:
     n, k = instance.graph.n, instance.k
     table = {code: (0, None, None)}
     heap = [(h, 0, code)]
-    max_states = limits.max_states
+    max_states = (limits or Limits()).max_states
     expanded = 0
     while heap:
         f, neg_g, code = heapq.heappop(heap)
@@ -284,7 +283,6 @@ def solve_exact(instance: Instance, limits: Limits | None = None) -> SearchResul
     infeasible (no reachable goal), budget-exceeded (the optimum exceeds
     the budget), state-limit.  Emitted schedules have horizon <= energy.
     """
-    limits = limits or Limits()
     return _search(instance, partial(_successors, instance.graph, None), limits)
 
 
@@ -296,7 +294,6 @@ def solve_restricted(
     Each robot's start (and goal, when present) must lie in its domain;
     an empty domain is an input error.  Full domains reproduce solve_exact.
     """
-    limits = limits or Limits()
     if len(domains) != instance.k:
         raise InputError(
             f"expected {instance.k} domains, got {len(domains)}"
@@ -326,9 +323,7 @@ def check_feasible(instance: Instance, limits: Limits | None = None) -> str:
     budget, optimal as feasible.  Any feasible verdict is witnessed by
     some schedule of energy polynomial in the graph size.
     """
-    limits = limits or Limits()
-    unbudgeted = replace(instance, budget=None)
-    result = _search(unbudgeted, partial(_successors, instance.graph, None), limits)
+    result = solve_exact(replace(instance, budget=None), limits)
     return "feasible" if result.status == "optimal" else result.status
 
 
@@ -339,13 +334,8 @@ def critical_vertices(instance: Instance) -> frozenset[int]:
     corridors, which optimal schedules only ever cross one robot at a time.
     """
     g = instance.graph
-    k = instance.k
-    seeds = {v for v in range(g.n) if g.degree(v) != 2}
-    for r in instance.robots:
-        seeds.add(r.start)
-        if r.goal is not None:
-            seeds.add(r.goal)
-    return frozenset(chain.from_iterable(layers(g, seeds, k)))
+    seeds = instance.terminals | {v for v in range(g.n) if g.degree(v) != 2}
+    return frozenset(chain.from_iterable(layers(g, seeds, instance.k)))
 
 
 def _transit_edges(graph: Graph, critical: frozenset[int]):
@@ -400,7 +390,6 @@ def solve_critical(instance: Instance, limits: Limits | None = None) -> SearchRe
     instance and intended for graphs that are two small vertex pockets
     joined by a long corridor.
     """
-    limits = limits or Limits()
     g = instance.graph
     critical = critical_vertices(instance)
     if len(critical) == g.n:

@@ -21,7 +21,7 @@ to one value within a sequence: in the leaf, to each bag vertex or to
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from coordmp.core import Graph, InputError, Instance, LimitError, connected_components
@@ -295,9 +295,8 @@ def dp_leaf(
     """
     bag = node.bag
     g = instance.graph
-    for r in instance.robots:
-        if r.start not in bag or (r.goal is not None and r.goal not in bag):
-            raise InputError("leaf bag must contain every robot start and goal")
+    if not instance.terminals <= bag:
+        raise InputError("leaf bag must contain every robot start and goal")
     pairs_max = max(0, budget // 2)
     bag_sorted = sorted(bag)
     adj = {v: [u for u in g.neighbors(v) if u in bag] for v in bag_sorted}
@@ -640,16 +639,11 @@ def solve_twdp(
     """
     if checkpoint_budget is not None and checkpoint_budget < 2:
         raise InputError("checkpoint budget must be at least 2")
-    limits = limits or Limits()
-    certificate = solve_exact(Instance(instance.graph, instance.robots), limits)
+    certificate = solve_exact(replace(instance, budget=None), limits)
     if certificate.status != "optimal" or certificate.energy == 0:
         return certificate
     rho = certificate.energy
-    terminals = frozenset(
-        {r.start for r in instance.robots}
-        | {r.goal for r in instance.robots if r.goal is not None}
-    )
-    td = build_nice_td(instance.graph, terminals)
+    td = build_nice_td(instance.graph, instance.terminals)
     budget = 2 * rho if checkpoint_budget is None else min(checkpoint_budget, 2 * rho)
     exterior_of = {
         nid: frozenset(

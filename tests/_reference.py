@@ -2,6 +2,7 @@
 
 Deliberately naive: full enumeration of every parallel move subset with no
 pruning beyond legality, so results can anchor the optimized solvers.
+``random_connected_graph`` is the random test graph several test files draw.
 """
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ from coordmp.twdp import (
     _is_symbol,
     _zip_merge,
 )
+
+
+def random_connected_graph(rng, n: int) -> Graph:
+    """A random recursive tree on n vertices plus up to n - 1 random chords."""
+    edges = set()
+    for v in range(1, n):
+        edges.add((rng.randrange(v), v))
+    for _ in range(rng.randrange(0, n)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
 
 
 def legal_parallel_steps(graph: Graph, state: tuple[int, ...]):

@@ -30,7 +30,14 @@ from coordmp.core import (
     steps_to_schedule,
     validate_schedule,
 )
-from coordmp.generators import generate, grid_graph, random_tree
+from coordmp.generators import (
+    cycle_graph,
+    generate,
+    grid_graph,
+    path_graph,
+    random_tree,
+    star_graph,
+)
 from coordmp.oracle import (
     Limits,
     SearchResult,
@@ -40,29 +47,7 @@ from coordmp.oracle import (
 )
 from coordmp.structure import classify_vertex, compute_motion_domain, is_nice
 
-from _reference import apply_steps
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def random_connected_graph(rng, n):
-    edges = set()
-    for v in range(1, n):
-        edges.add((rng.randrange(v), v))
-    for _ in range(rng.randrange(0, n)):
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, edges)
+from _reference import apply_steps, random_connected_graph
 
 
 def random_instance(rng, n, k, mover_prob=0.8, budget=None):
@@ -122,7 +107,7 @@ def test_approximate_all_stationary_is_empty():
 
 
 def test_approximate_grown_star_sandwich():
-    g = star_graph(5)
+    g = star_graph(6)
     assert is_nice(g, 0, 2) is not None
     inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)))
     rep = approximate(inst)
@@ -133,7 +118,7 @@ def test_approximate_grown_star_sandwich():
     # Two leaves swap: 6 moves found, 4 by the distance bound.  A budget of
     # 5 is neither met nor ruled out, so the run cannot decide it.
     for budget, status in ((None, "ok"), (6, "ok"), (5, "budget-limited")):
-        swap = Instance(star_graph(3), (Robot(0, 1, 2), Robot(1, 2, 1)), budget)
+        swap = Instance(star_graph(4), (Robot(0, 1, 2), Robot(1, 2, 1)), budget)
         rep = approximate(swap)
         assert (rep.status, rep.energy, rep.lower_bound) == (status, 6, 4)
         assert validate_schedule(swap, rep.schedule).ok
@@ -454,7 +439,7 @@ def test_gcmp1_blocked_path_infeasible():
 
 
 def test_gcmp1_star_agrees():
-    g = star_graph(5)
+    g = star_graph(6)
     inst = Instance(g, (Robot(0, 1, 2), Robot(1, 0, None)))
     res = solve_gcmp1(inst)
     assert res.status == "optimal" and res.energy == solve_exact(inst).energy == 3
@@ -475,7 +460,7 @@ def test_gcmp1_free_robot_in_another_component_stays_home():
 def test_gcmp1_hub_domain_restriction_preserves_optimum():
     # A 21-vertex star: the hub's degree exceeds the expansion threshold,
     # so the free robot's domain is a strict subset of the vertices.
-    g = star_graph(20)
+    g = star_graph(21)
     inst = Instance(g, (Robot(0, 20, 19), Robot(1, 18, None)))
     res = solve_gcmp1(inst)
     exact = solve_exact(inst)
@@ -671,7 +656,7 @@ def test_route_crossing_occupied_haven():
 
 
 def test_route_start_inside_haven_swaps_to_exit():
-    g = star_graph(5)
+    g = star_graph(6)
     haven = is_nice(g, 0, 2)
     inst = Instance(g, (Robot(0, 1, None), Robot(1, 0, None)))
     exit_vertex = max(haven.members)

@@ -37,26 +37,18 @@ from coordmp.core import (
     steps_to_schedule,
     validate_schedule,
 )
-from coordmp.generators import generate
-from coordmp.oracle import solve_exact
-from coordmp.structure import classify_vertex
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def grid_graph(width: int, height: int) -> Graph:
-    """Row-major ids: vertex r * width + c."""
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            v = r * width + c
-            if c + 1 < width:
-                edges.append((v, v + 1))
-            if r + 1 < height:
-                edges.append((v, v + width))
-    return Graph(width * height, edges)
+from coordmp.approx import approximate, solve_gcmp1
+from coordmp.generators import generate, grid_graph, path_graph, star_graph
+from coordmp.havenswap import swap
+from coordmp.oracle import (
+    Limits,
+    check_feasible,
+    solve_critical,
+    solve_exact,
+    solve_restricted,
+)
+from coordmp.structure import classify_vertex, is_nice
+from coordmp.twdp import solve_twdp
 
 
 def test_graph_rejects_bad_edges():
@@ -79,6 +71,16 @@ def test_instance_rejects_duplicate_starts_and_goals():
         Instance(g, (Robot(0, 1, 0), Robot(1, 1, 2)))
     with pytest.raises(InputError):
         Instance(g, (Robot(0, 0, 2), Robot(1, 1, 2)))
+
+
+def test_instance_terminals_are_every_start_and_goal():
+    g = path_graph(5)
+    # A free robot contributes its start only.
+    assert Instance(g, (Robot(0, 0, 4), Robot(1, 2))).terminals == {0, 2, 4}
+    # A robot whose goal is its start contributes that vertex once.
+    assert Instance(g, (Robot(0, 3, 3), Robot(1, 1, 0))).terminals == {0, 1, 3}
+    assert isinstance(Instance(g, ()).terminals, frozenset)
+    assert Instance(g, ()).terminals == frozenset()
 
 
 def test_instance_rejects_duplicate_robot_ids():
@@ -176,6 +178,14 @@ def test_parse_instance_errors_carry_line_numbers():
         parse_instance("gcmp 2\nn 1\n")
     with pytest.raises(InputError, match="line 3"):
         parse_instance("gcmp 1\nn 2\nbogus stuff here\n")
+    # A header is reported on its own line, after comments and blank lines.
+    with pytest.raises(InputError, match="^line 2: expected header 'gcmp 1'$"):
+        parse_instance("# c\ngcmp 2\n")
+    with pytest.raises(InputError, match="^line 4: expected header 'gcmp 1'$"):
+        parse_instance("\n\n# c\nn 2\n")
+    for text in ("", "# only a comment\n\n"):  # no content line
+        with pytest.raises(InputError, match="^line 1: expected header 'gcmp 1'$"):
+            parse_instance(text)
 
 
 def test_parse_instance_rejects_duplicate_count_and_budget():
@@ -213,6 +223,7 @@ def test_parse_instance_reads_integers_as_ascii_decimals(tok, text, message):
 @pytest.mark.parametrize("text, message", [
     ("sched {} 1\nrobot 0: 0 1\n", "line 1: bad schedule header"),
     ("sched 1 {}\nrobot 0: 0 1\n", "line 1: bad schedule header"),
+    ("# c\n\nsched {} 1\nrobot 0: 0 1\n", "line 3: bad schedule header"),
     ("sched 1 1\nrobot {}: 0 1\n", "line 2: malformed route"),
     ("sched 1 1\nrobot 0: 0 {}\n", "line 2: malformed route"),
 ])
@@ -220,6 +231,12 @@ def test_parse_schedule_reads_integers_as_ascii_decimals(tok, text, message):
     inst = parse_instance("gcmp 1\nn 2\ne 0 1\nr 0 0 1\n")
     with pytest.raises(InputError, match=f"^{message}$"):
         parse_schedule(text.format(tok), inst)
+
+
+def test_parse_schedule_reports_the_header_line():
+    inst = parse_instance("gcmp 1\nn 2\ne 0 1\nr 0 0 1\n")
+    with pytest.raises(InputError, match="^line 3: expected header 'sched <k> <t>'$"):
+        parse_schedule("# c\n\nschedule 1 1\nrobot 0: 0 1\n", inst)
 
 
 def test_parse_schedule_route_label_is_exactly_robot_and_id():
@@ -587,3 +604,31 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(f"coordmp.{module}"), attr)
     ]
     assert missing == []
+
+
+# Every entry point that takes ``limits`` reads None as ``Limits()``.
+STAR = star_graph(4)
+LEAF_SWAP = Instance(STAR, (Robot(0, 1, 2), Robot(1, 2, 1)))
+ONE_MOVER = Instance(STAR, (Robot(0, 1, 2), Robot(1, 2)))
+HAVEN_STAR = star_graph(6)
+LIMITED_SOLVES = {
+    "solve_exact": lambda limits: solve_exact(LEAF_SWAP, limits),
+    "solve_restricted": lambda limits: solve_restricted(
+        LEAF_SWAP, [range(STAR.n)] * 2, limits
+    ),
+    "check_feasible": lambda limits: check_feasible(LEAF_SWAP, limits),
+    "solve_critical": lambda limits: solve_critical(LEAF_SWAP, limits),
+    "solve_gcmp1": lambda limits: solve_gcmp1(ONE_MOVER, limits),
+    # The center as a target sends swap to its exact fallback.
+    "swap": lambda limits: swap(
+        HAVEN_STAR, is_nice(HAVEN_STAR, 0, 2), {5: 1, 6: 2}, {5: 2, 6: 0}, limits
+    ),
+    "solve_twdp": lambda limits: solve_twdp(LEAF_SWAP, limits=limits),
+    "approximate": lambda limits: approximate(LEAF_SWAP, limits),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMITED_SOLVES))
+def test_no_limits_means_default_limits(name):
+    solve = LIMITED_SOLVES[name]
+    assert solve(None) == solve(Limits())

@@ -70,6 +70,10 @@ def test_mcc_render_parse_round_trip():
 def test_mcc_parse_rejections():
     with pytest.raises(InputError, match="^line 1: .*must start with 'mcc 1'"):
         parse_mcc("part 1 a\n")  # missing header
+    with pytest.raises(InputError, match="^line 3: .*must start with 'mcc 1'"):
+        parse_mcc("# c\n\nmcc 2\npart 1 a\n")  # header after a comment
+    with pytest.raises(InputError, match="^line 1: .*must start with 'mcc 1'"):
+        parse_mcc("# only a comment\n")  # no content line
     with pytest.raises(InputError, match="^line 3: duplicate part 1$"):
         parse_mcc("mcc 1\npart 1 a\npart 1 b\n")  # duplicate part index
     with pytest.raises(InputError, match="without gaps"):

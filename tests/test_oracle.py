@@ -40,6 +40,7 @@ from _reference import (
     brute_force_feasible,
     brute_force_optimum,
     legal_parallel_steps,
+    random_connected_graph,
 )
 
 
@@ -47,18 +48,6 @@ def path_instance(n, robots, budget=None):
     return Instance(
         Graph(n, [(i, i + 1) for i in range(n - 1)]), tuple(robots), budget
     )
-
-
-def random_connected_graph(rng, n):
-    edges = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.add((u, v))
-    extra = rng.randrange(0, n)
-    for _ in range(extra):
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, edges)
 
 
 def random_instance(rng, n, k, movers):

@@ -7,9 +7,15 @@ import random
 import pytest
 
 from coordmp.core import Graph, InputError, Instance, Robot
-from coordmp.generators import grid_graph, random_connected, random_tree
+from coordmp.generators import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected,
+    random_tree,
+    star_graph,
+)
 from coordmp.structure import (
-    ClassificationError,
     _packing_refutes,
     check_haven,
     classify_vertex,
@@ -18,31 +24,12 @@ from coordmp.structure import (
     two_path_around,
 )
 
-from _reference import connected_subsets, ordered_is_nice, ref_is_nice
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def random_connected_graph(rng, n):
-    edges = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.add((u, v))
-    extra = rng.randrange(0, n)
-    for _ in range(extra):
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph(n, edges)
+from _reference import (
+    connected_subsets,
+    ordered_is_nice,
+    random_connected_graph,
+    ref_is_nice,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +37,7 @@ def random_connected_graph(rng, n):
 
 
 def test_star_center_nice_k1_frozen():
-    g = star_graph(3)
+    g = star_graph(4)
     haven = is_nice(g, 0, 1)
     assert haven is not None
     assert haven.center == 0
@@ -143,7 +130,7 @@ def test_packing_refutation_exact_on_trees():
 
 
 def test_check_haven_rejects_tampering():
-    g = star_graph(3)
+    g = star_graph(4)
     haven = is_nice(g, 0, 1)
     bad = dataclasses.replace(haven, members=haven.members - {3})
     with pytest.raises(InputError):
@@ -161,9 +148,9 @@ def nice_vertices(graph, k):
 
 def test_find_all_nice_path_empty_star_center_only():
     assert nice_vertices(path_graph(6), 1) == {}
-    star = nice_vertices(star_graph(3), 1)
+    star = nice_vertices(star_graph(4), 1)
     assert sorted(star) == [0]
-    check_haven(star_graph(3), star[0])
+    check_haven(star_graph(4), star[0])
 
 
 def test_find_all_nice_disjoint_union_is_componentwise():
@@ -194,7 +181,7 @@ def test_two_path_pure_cycle_degenerate():
 
 def test_two_path_wrong_degree_rejected():
     with pytest.raises(InputError):
-        two_path_around(star_graph(3), 0)
+        two_path_around(star_graph(4), 0)
     with pytest.raises(InputError):
         two_path_around(path_graph(4), 0)
 
@@ -221,13 +208,13 @@ def test_two_path_loop_to_single_attachment():
 
 
 def test_classify_nice_vertex():
-    tag = classify_vertex(star_graph(3), 0, 1)
+    tag = classify_vertex(star_graph(4), 0, 1)
     assert tag.kind == "nice"
     assert tag.haven is not None and tag.haven.center == 0
 
 
 def test_classify_adjacent_to_nice_is_type1():
-    tag = classify_vertex(star_graph(3), 1, 1)
+    tag = classify_vertex(star_graph(4), 1, 1)
     assert tag.kind == "type1"
     assert tag.witness == 0
     assert tag.distance == 1

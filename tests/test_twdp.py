@@ -13,7 +13,15 @@ from _reference import (
     sequence_violations,
 )
 from coordmp.core import Graph, InputError, Instance, LimitError, Robot
-from coordmp.generators import generate, grid_graph, random_connected
+from coordmp.generators import (
+    cycle_graph,
+    generate,
+    grid_graph,
+    path_graph,
+    random_connected,
+    random_tree,
+    star_graph,
+)
 from coordmp.oracle import Limits, solve_exact
 from coordmp.twdp import (
     DOWN,
@@ -26,22 +34,6 @@ from coordmp.twdp import (
     solve_twdp,
     validate_td,
 )
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(n):
-    return Graph(n, [(0, i) for i in range(1, n)])
-
-
-def random_tree(rng, n):
-    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def random_connected_graph(rng, n):
@@ -71,7 +63,7 @@ def test_td_axioms_on_path():
 
 def test_td_base_width_tree_and_cycle():
     rng = random.Random(5)
-    tree = random_tree(rng, 7)
+    tree = random_tree(7, rng)
     assert build_nice_td(tree, {0, 6}).base_width == 1
     assert build_nice_td(cycle_graph(5), {0, 2}).base_width == 2
 
@@ -103,7 +95,7 @@ def test_td_min_degree_width_against_exact_reference():
     graphs it is an upper bound that exceeds the exact width rarely and by
     one at most."""
     rng = random.Random(9)
-    exact_families = [random_tree(rng, n) for n in range(4, 13) for _ in range(12)]
+    exact_families = [random_tree(n, rng) for n in range(4, 13) for _ in range(12)]
     exact_families += [grid_graph(w, 1) for w in range(1, 13)]
     exact_families += [grid_graph(w, 2) for w in range(1, 7)]
     for g in exact_families:
@@ -578,7 +570,7 @@ def test_introduce_and_join_tables_are_good_by_construction(monkeypatch):
     roots = 0
     for solve in range(320):
         if solve % 3 == 0:
-            g = random_tree(rng, rng.randint(2, 9))
+            g = random_tree(rng.randint(2, 9), rng)
         elif solve % 3 == 1:
             g = random_connected_graph(rng, rng.randint(3, 8))
         else:
@@ -622,7 +614,7 @@ def test_budget_of_twice_the_certificate_is_never_budget_limited():
     confirmed = 0
     for solve in range(90):
         if solve % 3 == 0:
-            g = random_tree(rng, rng.randint(3, 10))
+            g = random_tree(rng.randint(3, 10), rng)
         elif solve % 3 == 1:
             g = random_connected_graph(rng, rng.randint(3, 9))
         else:
@@ -665,7 +657,7 @@ def test_join_equals_the_all_pairs_reference(monkeypatch):
     rng = random.Random(1403)
     for solve in range(90):
         if solve % 3 == 0:
-            g = random_tree(rng, rng.randint(5, 10))
+            g = random_tree(rng.randint(5, 10), rng)
         elif solve % 3 == 1:
             g = random_connected_graph(rng, rng.randint(5, 9))
         else:
