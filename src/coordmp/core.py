@@ -4,7 +4,8 @@ Robots occupy distinct vertices of an undirected simple graph and move in
 parallel time steps.  A step is conflict-free when no two robots end it on
 the same vertex and no two robots traverse the same edge in opposite
 directions (following a robot that vacates a vertex in the same step is
-legal).  Energy counts moving steps only; waiting is free.  The solvers take
+legal); ``validate_schedule`` checks every step of a schedule for both.
+Energy counts moving steps only; waiting is free.  The solvers take
 an instance's terminals (every start and goal) from ``Instance.terminals``.
 
 Graph traversal lives here too, and every solver breaks ties the same way:
@@ -271,16 +272,12 @@ def schedule_steps(schedule: Schedule, robots) -> list[MoveStep]:
 
 
 @dataclass(frozen=True)
-class ConflictReport:
-    """Earliest conflict between two routes: kind is vertex or edge-swap."""
-
-    kind: str
-    step: int
-
-
-@dataclass(frozen=True)
 class ValidationResult:
-    """Outcome of schedule validation: ok plus energy, or the first violation."""
+    """Outcome of schedule validation: ok plus energy, or the first violation.
+
+    Route faults come first, robot by robot; then the earliest step that
+    holds a missing edge or a conflict (see ``validate_schedule``).
+    """
 
     ok: bool
     energy: int | None = None
@@ -288,85 +285,67 @@ class ValidationResult:
     violation: str | None = None
 
 
-def conflicts(route_a: Route, route_b: Route) -> ConflictReport | None:
-    """Earliest conflict between two equal-horizon routes, or None.
-
-    Vertex conflict: both routes end a step on one vertex.  Edge-swap
-    conflict: the routes traverse one edge in opposite directions in the
-    same step.  Symmetric in its arguments.
-    """
-    pa, pb = route_a.positions, route_b.positions
-    if len(pa) != len(pb):
-        raise InputError("routes have different horizons")
-    if pa and pa[0] == pb[0]:
-        return ConflictReport("vertex", 0)
-    for t in range(1, len(pa)):
-        if pa[t] == pb[t]:
-            return ConflictReport("vertex", t)
-        if pa[t] == pb[t - 1] and pb[t] == pa[t - 1] and pa[t] != pa[t - 1]:
-            return ConflictReport("edge-swap", t)
-    return None
-
-
 def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationResult:
     """Check a schedule against an instance.
 
-    Verifies route count, start/goal agreement, per-step adjacency, and
-    pairwise conflict-freeness; reports energy and flags budget overrun
-    when the instance carries a budget.
+    On success reports energy and flags a budget overrun when the instance
+    carries a budget.  Otherwise reports the first violation in this order:
+    the route count; then robot by robot an empty route, a horizon unlike
+    the first route's, a vertex out of range, the wrong start and the wrong
+    end; then step by step from step 1, robot by robot, a move along a
+    missing edge, an edge swap with an earlier robot and a vertex shared
+    with an earlier robot.  Step 0 needs no conflict check: starts are
+    distinct and every route begins at its start.
     """
     g = instance.graph
-    if len(schedule.routes) != instance.k:
-        return ValidationResult(
-            False,
-            violation=f"expected {instance.k} routes, got {len(schedule.routes)}",
+    robots = instance.robots
+
+    def fail(violation: str) -> ValidationResult:
+        return ValidationResult(False, violation=violation)
+
+    def clash(j: int, i: int, kind: str, t: int) -> ValidationResult:
+        return fail(
+            f"robots {robots[j].id} and {robots[i].id}: {kind} conflict at step {t}"
         )
+
+    if len(schedule.routes) != instance.k:
+        return fail(f"expected {instance.k} routes, got {len(schedule.routes)}")
     if instance.k == 0:
         return ValidationResult(True, energy=0)
     horizon = schedule.routes[0].horizon
-    for robot, route in zip(instance.robots, schedule.routes):
+    for robot, route in zip(robots, schedule.routes):
         pos = route.positions
+        outside = [v for v in pos if not 0 <= v < g.n]
+        who = f"robot {robot.id}"
         if len(pos) == 0:
-            return ValidationResult(False, violation=f"robot {robot.id}: empty route")
+            return fail(f"{who}: empty route")
         if route.horizon != horizon:
-            return ValidationResult(
-                False, violation=f"robot {robot.id}: horizon mismatch"
-            )
-        for v in pos:
-            if not 0 <= v < g.n:
-                return ValidationResult(
-                    False, violation=f"robot {robot.id}: vertex {v} out of range"
-                )
+            return fail(f"{who}: horizon mismatch")
+        if outside:
+            return fail(f"{who}: vertex {outside[0]} out of range")
         if pos[0] != robot.start:
-            return ValidationResult(
-                False,
-                violation=f"robot {robot.id}: route starts at {pos[0]}, not {robot.start}",
-            )
+            return fail(f"{who}: route starts at {pos[0]}, not {robot.start}")
         if robot.goal is not None and pos[-1] != robot.goal:
-            return ValidationResult(
-                False,
-                violation=f"robot {robot.id}: route ends at {pos[-1]}, not {robot.goal}",
-            )
-        for t in range(1, len(pos)):
-            if pos[t] != pos[t - 1] and not g.has_edge(pos[t - 1], pos[t]):
-                return ValidationResult(
-                    False,
-                    violation=(
-                        f"robot {robot.id}: step {t} moves along missing edge "
-                        f"({pos[t - 1]}, {pos[t]})"
-                    ),
-                )
-    for i in range(instance.k):
-        for j in range(i + 1, instance.k):
-            c = conflicts(schedule.routes[i], schedule.routes[j])
-            if c is not None:
-                return ValidationResult(
-                    False,
-                    violation=(
-                        f"robots {instance.robots[i].id} and {instance.robots[j].id}: "
-                        f"{c.kind} conflict at step {c.step}"
-                    ),
-                )
+            return fail(f"{who}: route ends at {pos[-1]}, not {robot.goal}")
+    columns = list(zip(*(route.positions for route in schedule.routes)))
+    for t in range(1, horizon + 1):
+        # Robot indices by the vertex each ends the step on and by the
+        # (from, to) edge each moves along.
+        at: dict[int, int] = {}
+        moved: dict[tuple[int, int], int] = {}
+        for i, (u, v) in enumerate(zip(columns[t - 1], columns[t])):
+            if u != v:
+                if not g.has_edge(u, v):
+                    return fail(
+                        f"robot {robots[i].id}: step {t} moves along missing edge "
+                        f"({u}, {v})"
+                    )
+                if (v, u) in moved:
+                    return clash(moved[v, u], i, "edge-swap", t)
+                moved[u, v] = i
+            if v in at:
+                return clash(at[v], i, "vertex", t)
+            at[v] = i
     e = schedule.energy
     over = instance.budget is not None and e > instance.budget
     return ValidationResult(True, energy=e, over_budget=over)

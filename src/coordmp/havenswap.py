@@ -195,8 +195,6 @@ def swap(
             for v in clear_vertices
             if v in state.occ and state.occ[v] != robot
         ]
-        if any(state.pos[b] not in t1.depth for b in blockers):
-            return False
         if not blockers:
             state.walk(robot, t1.root_path(p))
             state.walk(robot, dest_tree.root_path(dest)[::-1])

@@ -23,7 +23,6 @@ import pytest
 from _reference import sequence_violations
 from coordmp.core import (
     Graph,
-    InputError,
     Instance,
     LimitError,
     Robot,

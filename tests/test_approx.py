@@ -10,7 +10,6 @@ import pytest
 import coordmp.approx
 import coordmp.havenswap
 from coordmp.approx import (
-    RestrictionResult,
     _cut_loops,
     _Pipeline,
     approximate,

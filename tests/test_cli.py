@@ -2,8 +2,6 @@
 import os
 import re
 
-import pytest
-
 from coordmp import cli
 from coordmp.cli import ALGORITHMS, main
 from coordmp.core import LimitError, parse_instance, parse_schedule, validate_schedule

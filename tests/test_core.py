@@ -1,19 +1,20 @@
-"""Model and format tests: conflicts, validation, energy, parse/render."""
+"""Model and format tests: validation, energy, parse/render."""
 from __future__ import annotations
 
 import ast
 import importlib
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import chain, islice
 
 import pytest
 
+from _reference import legal_parallel_steps, random_connected_graph
 import coordmp
 from coordmp.core import (
-    ConflictReport,
     Graph,
     InputError,
     Instance,
@@ -22,7 +23,6 @@ from coordmp.core import (
     Route,
     Schedule,
     bfs_distances,
-    conflicts,
     connected_components,
     induced_subgraph,
     layers,
@@ -93,41 +93,67 @@ def test_instance_rejects_duplicate_robot_ids():
     assert Instance(g, (Robot(3, 0, 3), Robot(7, 4, 0))).k == 2
 
 
-def test_edge_swap_conflict_detected_at_step_1():
-    a = Route((0, 1))
-    b = Route((1, 0))
-    assert conflicts(a, b) == ConflictReport("edge-swap", 1)
+def _validate(instance, *routes):
+    return validate_schedule(instance, Schedule(tuple(Route(p) for p in routes)))
 
 
 def test_follow_the_leader_is_legal():
-    a = Route((0, 1))
-    b = Route((1, 2))
-    assert conflicts(a, b) is None
+    inst = Instance(path_graph(3), (Robot(0, 0, 1), Robot(1, 1, 2)))
+    assert _validate(inst, (0, 1), (1, 2)).energy == 2
+    # A rotation around a triangle is a cycle of followers: legal too.
+    triangle = Instance(
+        Graph(3, [(0, 1), (1, 2), (0, 2)]),
+        (Robot(0, 0, 1), Robot(1, 1, 2), Robot(2, 2, 0)),
+    )
+    assert _validate(triangle, (0, 1), (1, 2), (2, 0)).energy == 3
 
 
-def test_vertex_conflict_detected():
-    a = Route((0, 1))
-    b = Route((2, 1))
-    assert conflicts(a, b) == ConflictReport("vertex", 1)
+# Path 0-1-2-3; robot ids unlike the route indices, so messages show ids.
+PATH4 = Instance(path_graph(4), (Robot(4, 0, 1), Robot(7, 3)))
 
 
-def test_conflicts_horizon_mismatch_is_input_error():
-    with pytest.raises(InputError):
-        conflicts(Route((0, 1)), Route((0, 1, 2)))
+@pytest.mark.parametrize(
+    "instance, routes, violation",
+    [
+        (PATH4, [(0, 1)], "expected 2 routes, got 1"),
+        (PATH4, [(0, 1), ()], "robot 7: empty route"),
+        (PATH4, [(0, 1), (3, 3, 3)], "robot 7: horizon mismatch"),
+        (PATH4, [(0, 1), (3, 4)], "robot 7: vertex 4 out of range"),
+        (PATH4, [(1, 1), (3, 3)], "robot 4: route starts at 1, not 0"),
+        (PATH4, [(0, 0), (3, 3)], "robot 4: route ends at 0, not 1"),
+        (PATH4, [(0, 0, 1), (3, 1, 1)],
+         "robot 7: step 1 moves along missing edge (3, 1)"),
+        (PATH4, [(0, 0, 1), (3, 2, 1)], "robots 4 and 7: vertex conflict at step 2"),
+        (PATH4, [(0, 1, 2, 1), (3, 2, 1, 0)],
+         "robots 4 and 7: edge-swap conflict at step 2"),
+        (Instance(path_graph(4), ()), [(0,)], "expected 0 routes, got 1"),
+    ],
+    ids=["route-count", "empty-route", "horizon", "out-of-range", "start", "end",
+         "missing-edge", "vertex-conflict", "edge-swap", "no-robots"],
+)
+def test_validate_reports_each_violation(instance, routes, violation):
+    res = _validate(instance, *routes)
+    assert (res.ok, res.energy, res.violation) == (False, None, violation)
 
 
-def test_validate_flags_missed_goal_with_robot_id():
-    inst = Instance(path_graph(3), (Robot(0, 0, 2),))
-    sched = Schedule((Route((0, 1)),))
-    res = validate_schedule(inst, sched)
-    assert not res.ok
-    assert "robot 0" in res.violation and "ends at 1" in res.violation
+def test_validate_accepts_no_routes_for_no_robots():
+    res = _validate(Instance(path_graph(4), ()))
+    assert (res.ok, res.energy, res.over_budget) == (True, 0, False)
 
 
-def test_validate_flags_missing_edge():
-    inst = Instance(path_graph(3), (Robot(0, 0, 2),))
-    res = validate_schedule(inst, Schedule((Route((0, 2)),)))
-    assert not res.ok and "missing edge" in res.violation
+def test_validate_reports_the_earliest_step_first():
+    # Both robots end step 1 on vertex 1; robot 4 then jumps 1 -> 3 along a
+    # missing edge at step 2.  Route checks pass, so step 1 is reported.
+    inst = Instance(path_graph(4), (Robot(4, 0, 3), Robot(7, 2)))
+    res = _validate(inst, (0, 1, 3), (2, 1, 1))
+    assert res.violation == "robots 4 and 7: vertex conflict at step 1"
+    # A route fault of any robot comes before every step.
+    res = _validate(inst, (0, 1, 3), (2, 1, 5))
+    assert res.violation == "robot 7: vertex 5 out of range"
+    # Within a step the robots are taken in order: robot 4's missing edge
+    # comes before the vertex it then shares with robot 7.
+    res = _validate(inst, (0, 2, 3), (2, 2, 2))
+    assert res.violation == "robot 4: step 1 moves along missing edge (0, 2)"
 
 
 def test_validate_never_constrains_free_robot_final_vertex():
@@ -195,6 +221,39 @@ def test_parse_instance_rejects_duplicate_count_and_budget():
     text = "gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 2\nbudget 5\nbudget 1\n"
     with pytest.raises(InputError, match="line 7: duplicate budget"):
         parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gcmp 1\ne 0 1\nr 0 0 1\n", "missing 'n <vertex_count>' line"),
+        ("gcmp 1\nn 2\ne a b\ne b c\n", "more than 2 distinct vertex names in file"),
+        ("gcmp 1\nn 2\ne 0 1\ne 1 1\n", "line 4: self-loop"),
+        ("gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 1\nr 2 2 -\n",
+         "robot ids must be 0..k-1 without gaps"),
+    ],
+    ids=["no-count", "too-many-names", "self-loop", "id-gap"],
+)
+def test_parse_instance_rejections(text, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty schedule file"),
+        ("# only a comment\n\n", "empty schedule file"),
+        ("sched 2 1\nrobot 0: 0 0\nrobot 0: 0 0\n", "line 3: duplicate robot 0"),
+        ("sched 2 1\nrobot 0: 0 0\nrobot 2: 2 2\n",
+         "schedule must cover robot ids 0..k-1 exactly"),
+    ],
+    ids=["empty", "comment-only", "duplicate-robot", "id-gap"],
+)
+def test_parse_schedule_rejections(text, message):
+    inst = parse_instance("gcmp 1\nn 3\ne 0 1\ne 1 2\nr 0 0 -\nr 1 2 -\n")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_schedule(text, inst)
 
 
 def test_parse_instance_comments_and_blank_lines_ignored():
@@ -528,19 +587,54 @@ def test_induced_subgraph_maps_ids():
     assert sub.degree(new_of_old[4]) == 0
 
 
-def test_conflicts_symmetry_property():
+def _reference_energy(instance, routes):
+    """Energy of ``routes`` when each step is legal by ``legal_parallel_steps``
+    and the starts and goals agree, else None."""
+    if any(
+        p[0] != r.start or r.goal not in (None, p[-1])
+        for r, p in zip(instance.robots, routes)
+    ):
+        return None
+    states = list(zip(*routes))
+    energy = 0
+    for state, nxt in zip(states, states[1:]):
+        if nxt != state:
+            movers = dict(legal_parallel_steps(instance.graph, state)).get(nxt)
+            if movers is None:
+                return None
+            energy += movers
+    return energy
+
+
+def test_validate_matches_the_brute_force_step_rule():
     rng = random.Random(7)
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    for _ in range(300):
-        horizon = rng.randrange(1, 6)
+    checked = valid = 0
+    while checked < 2000:
+        n = rng.randrange(2, 7)
+        g = random_connected_graph(rng, n)
+        k = rng.randrange(1, min(n, 3) + 1)
+        starts, goals = rng.sample(range(n), k), rng.sample(range(n), k)
+        robots = tuple(
+            Robot(i, starts[i], goals[i] if rng.random() < 0.5 else None)
+            for i in range(k)
+        )
+        inst = Instance(g, robots)
+        horizon = rng.randrange(0, 5)
         routes = []
-        for _ in range(2):
-            pos = [rng.randrange(6)]
+        for r in robots:
+            pos = [r.start if rng.random() < 0.95 else rng.randrange(n)]
             for _ in range(horizon):
+                # Mostly waits and edge moves; now and then any vertex.
                 choices = (pos[-1],) + g.neighbors(pos[-1])
-                pos.append(rng.choice(choices))
-            routes.append(Route(tuple(pos)))
-        assert conflicts(routes[0], routes[1]) == conflicts(routes[1], routes[0])
+                pos.append(rng.choice(choices if rng.random() < 0.9 else range(n)))
+            routes.append(tuple(pos))
+        res = _validate(inst, *routes)
+        expected = _reference_energy(inst, routes)
+        assert (res.ok, res.energy) == (expected is not None, expected), routes
+        checked += 1
+        valid += res.ok
+    # Both outcomes are common enough to mean something.
+    assert 300 < valid < 1700
 
 
 def test_wait_extension_preserves_validity_and_energy():
