@@ -34,7 +34,6 @@ from coordmp.oracle import (
     solve_restricted,
 )
 from coordmp.structure import (
-    ClassificationError,
     Haven,
     MotionDomain,
     TwoPath,
@@ -77,7 +76,6 @@ from coordmp.generators import generate
 from coordmp.render import render_dot, render_frames, render_text_trace
 
 __all__ = [
-    "ClassificationError",
     "DOWN",
     "DPTable",
     "Graph",

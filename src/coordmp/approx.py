@@ -68,17 +68,16 @@ NICE_RADIUS_FACTOR = 11
 class RestrictionResult:
     """Budget-ball preprocessing outcome.
 
-    When ``no_instance`` is true the budget is provably insufficient and no
-    sub-instance exists; otherwise ``instance`` is the restriction,
-    ``vertex_map`` sends original vertex ids to sub-instance ids and
-    ``robot_map`` sends the ids of the kept robots to their sub-instance
-    ids, which are 0..k-1 in the original order.
+    When ``instance`` is None the budget is provably insufficient, no
+    sub-instance exists and ``reason`` says why; otherwise ``instance`` is
+    the restriction, ``vertex_map`` sends original vertex ids to
+    sub-instance ids and ``robot_map`` sends the ids of the kept robots to
+    their sub-instance ids, which are 0..k-1 in the original order.
     """
 
     instance: Instance | None
     vertex_map: dict[int, int] = field(default_factory=dict)
     robot_map: dict[int, int] = field(default_factory=dict)
-    no_instance: bool = False
     reason: str | None = None
 
 
@@ -315,8 +314,8 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
     routing is blocked, one exact search decides the component: no goal is
     infeasible, an optimum gives the steps, and the state cap raises
     LimitError (blocked routing, ``solve_exact``) or, with no haven nearby,
-    UnsupportedStructureError tagged with the offending endpoint
-    (``solve_critical``, which compresses the corridors).
+    its subclass UnsupportedStructureError tagged with the offending
+    endpoint (``solve_critical``, which compresses the corridors).
     """
     if len(robots) == 1:
         robot = robots[0]
@@ -405,10 +404,10 @@ def approximate(instance: Instance, limits: Limits | None = None) -> SearchResul
     the exact search of a blocked routing's component, or of a component
     with no haven cover, finds the goals unreachable.  Raises LimitError
     when a blocked routing's exact search, or a haven swap's exact
-    fallback, hits the state cap.  Raises UnsupportedStructureError when
-    some robot endpoint has no nice vertex within ``NICE_RADIUS_FACTOR * k``
-    and ``solve_critical`` on its component runs up to the state cap and
-    stops there undecided.
+    fallback, hits the state cap.  Raises UnsupportedStructureError, a
+    LimitError, when some robot endpoint has no nice vertex within
+    ``NICE_RADIUS_FACTOR * k`` and ``solve_critical`` on its component runs
+    up to the state cap and stops there undecided.
     """
     limits = limits or Limits()
     lower_bound = 0
@@ -471,7 +470,7 @@ def energy_ball_restrict(instance: Instance) -> RestrictionResult:
 
     Keeps exactly the vertices within ``budget`` of some robot that must
     move, drops robots starting outside and renumbers the rest densely,
-    and preserves the yes/no answer at the budget.  Returns ``no_instance``
+    and preserves the yes/no answer at the budget.  Returns no ``instance``
     without building anything when more robots must move than the budget
     allows, or when a single robot's distance already exceeds it.
     """
@@ -484,7 +483,6 @@ def energy_ball_restrict(instance: Instance) -> RestrictionResult:
     if len(moving) > budget:
         return RestrictionResult(
             None,
-            no_instance=True,
             reason=(
                 f"{len(moving)} robots must each move at least once but the "
                 f"budget is {budget}"
@@ -496,7 +494,6 @@ def energy_ball_restrict(instance: Instance) -> RestrictionResult:
         if dist[r.goal] is None or dist[r.goal] > budget:
             return RestrictionResult(
                 None,
-                no_instance=True,
                 reason=f"robot {r.id} alone needs more than {budget} moves",
             )
         ball_union.update(

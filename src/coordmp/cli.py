@@ -17,7 +17,6 @@ from coordmp.core import (
     InfeasibleError,
     InputError,
     LimitError,
-    UnsupportedStructureError,
     parse_instance,
     parse_schedule,
     render_instance,
@@ -28,7 +27,7 @@ from coordmp.generators import KINDS, generate
 from coordmp.hardness import parse_mcc, reduce_mcc
 from coordmp.oracle import Limits, SearchResult, solve_critical, solve_exact
 from coordmp.render import render_dot, render_frames, render_text_trace
-from coordmp.structure import ClassificationError, classify_vertex
+from coordmp.structure import classify_vertex
 from coordmp.twdp import solve_twdp
 
 EXIT_OK = 0
@@ -45,6 +44,8 @@ _SOLVERS = {
     "gcmp1": solve_gcmp1,
     "approx": approximate,
 }
+# gen's graph shape options and the generate() parameters they set.
+_GEN_SHAPE = {"--n": "n", "--w": "width", "--h": "height", "--edge-prob": "edge_prob"}
 _EXIT_BY_STATUS = {
     "optimal": EXIT_OK,
     "ok": EXIT_OK,
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--free", type=int, default=0,
                      help="how many robots get no destination")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--edge-prob", type=float, default=0.3)
+    gen.add_argument("--edge-prob", type=float)
     gen.add_argument("--budget", type=int)
     gen.add_argument("-o", "--out")
 
@@ -146,8 +147,8 @@ def _cmd_solve(args) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         result = SearchResult("infeasible")
-    except (LimitError, UnsupportedStructureError) as exc:
-        # approx raises these only at the state cap, twdp at its entry cap.
+    except LimitError as exc:
+        # approx raises it only at the state cap, twdp at its entry cap.
         print(f"limit reached: {exc}", file=sys.stderr)
         result = SearchResult("entry-limit" if args.alg == "twdp" else "state-limit")
     energy = "-" if result.energy is None else result.energy
@@ -178,11 +179,7 @@ def _cmd_analyze(args) -> int:
     kinds: dict[str, int] = {}
     lines = []
     for v in range(graph.n):
-        try:
-            tag = classify_vertex(graph, v, k, cache)
-            kind = tag.kind
-        except ClassificationError:
-            kind = "unclassified"
+        kind = classify_vertex(graph, v, k, cache).kind
         kinds[kind] = kinds.get(kind, 0) + 1
         lines.append(f"vertex {v} kind={kind}")
     counts = " ".join(f"{kind}={kinds[kind]}" for kind in sorted(kinds))
@@ -195,7 +192,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_preprocess(args) -> int:
     instance = parse_instance(_read(args.instance))
     result = energy_ball_restrict(instance)
-    if result.no_instance:
+    if result.instance is None:
         print(f"budget provably insufficient: {result.reason}", file=sys.stderr)
         print("preprocess status=no-instance")
         return EXIT_OVER_BUDGET
@@ -222,16 +219,23 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # generate() would ignore the shape options its kind does not read.
+    reads = {"grid": ("--w", "--h"), "random": ("--n", "--edge-prob")}
+    shape = {}
+    for flag, name in _GEN_SHAPE.items():
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if flag not in reads.get(args.kind, ("--n",)):
+            raise InputError(f"{flag} does not apply to gen {args.kind}")
+        shape[name] = value
     instance = generate(
         args.kind,
-        n=args.n,
-        width=args.width,
-        height=args.height,
         robots=args.robots,
         free_robots=args.free,
         seed=args.seed,
-        edge_prob=args.edge_prob,
         budget=args.budget,
+        **shape,
     )
     _write(args.out, render_instance(instance))
     return EXIT_OK
@@ -285,9 +289,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ClassificationError as exc:
-        print(f"limit reached: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

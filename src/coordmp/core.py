@@ -44,8 +44,9 @@ class InfeasibleError(RuntimeError):
     """The instance admits no valid schedule."""
 
 
-class UnsupportedStructureError(RuntimeError):
-    """The instance falls outside the structural preconditions of a solver.
+class UnsupportedStructureError(LimitError):
+    """The state cap cut the exact search that a solver falls back on where
+    the instance lies outside its structural preconditions.
 
     ``tag``, when set, classifies the vertex that fell outside them.
     """

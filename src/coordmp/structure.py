@@ -28,14 +28,6 @@ C1 = 1
 C2 = 2
 
 
-class ClassificationError(RuntimeError):
-    """A vertex fit no structural category.
-
-    Every vertex of every graph is provably coverable, so reaching this is a
-    correctness alarm in the classifier itself, never a property of the input.
-    """
-
-
 @dataclass(frozen=True)
 class Haven:
     """A sheltered region around a center vertex ``center``.
@@ -92,13 +84,12 @@ class TwoPath:
     ``path`` lists the degree-2 vertices in path order.  ``attachments``
     holds the two boundary vertices of degree != 2 adjacent to the path ends
     (they may coincide); it is empty iff the component is a pure cycle of
-    degree-2 vertices, in which case ``degenerate_cycle`` is True and
-    ``path`` lists the full cycle in canonical rotation.
+    degree-2 vertices, in which case ``path`` lists the full cycle in
+    canonical rotation.
     """
 
     path: tuple[int, ...]
     attachments: tuple[int, ...]
-    degenerate_cycle: bool = False
 
 
 @dataclass(frozen=True)
@@ -347,8 +338,7 @@ def two_path_around(graph: Graph, v: int) -> TwoPath:
     """The maximal degree-2 path through ``v`` with its attachment vertices.
 
     Raises InputError when ``v`` does not have degree 2.  When the whole
-    component is a cycle of degree-2 vertices the result is flagged
-    ``degenerate_cycle`` with no attachments.
+    component is a cycle of degree-2 vertices the result has no attachments.
     """
     _check_vertex(graph, v)
     if graph.degree(v) != 2:
@@ -373,14 +363,14 @@ def two_path_around(graph: Graph, v: int) -> TwoPath:
         rot = order[i:] + order[:i]
         if len(rot) > 2 and rot[1] > rot[-1]:
             rot = [rot[0]] + rot[:0:-1]
-        return TwoPath(path=tuple(rot), attachments=(), degenerate_cycle=True)
+        return TwoPath(path=tuple(rot), attachments=())
     right_chain, right_end = walk(n2)
     path = list(reversed(left_chain)) + [v] + right_chain
     atts = (left_end, right_end)
     if atts[0] > atts[1] or (atts[0] == atts[1] and path[0] > path[-1]):
         path.reverse()
         atts = (atts[1], atts[0])
-    return TwoPath(path=tuple(path), attachments=atts, degenerate_cycle=False)
+    return TwoPath(path=tuple(path), attachments=atts)
 
 
 def classify_vertex(
@@ -395,8 +385,9 @@ def classify_vertex(
     therefore mutually exclusive.  ``nice_cache`` may be shared across calls
     on the same (graph, k) to memoize per-vertex niceness.
 
-    Raises ClassificationError when no category applies; this is an internal
-    correctness alarm (the decomposition argument guarantees coverage).
+    The decomposition argument puts every vertex in some category, so when
+    none applies the classifier itself is at fault: that raises RuntimeError
+    as an internal error, never an input or limit error.
     """
     _check_vertex(graph, v)
     _check_k(k)
@@ -415,7 +406,7 @@ def classify_vertex(
     # type2: v on a degree-2 path with both attachments nice.
     if graph.degree(v) == 2:
         tp = two_path_around(graph, v)
-        if not tp.degenerate_cycle:
+        if tp.attachments:
             a1, a2 = tp.attachments
             if nice(a1) and nice(a2):
                 return VertexTypeTag(kind="type2", path=tp.path, endpoints=tp.attachments)
@@ -438,7 +429,7 @@ def classify_vertex(
             if graph.degree(u) == 2 and u not in seen:
                 tp = two_path_around(graph, u)
                 seen.update(tp.path)
-                if not tp.degenerate_cycle:
+                if tp.attachments:
                     yield tp
 
     candidates = []
@@ -499,9 +490,8 @@ def classify_vertex(
             path=path,
             pockets=pockets,
         )
-    raise ClassificationError(
-        f"vertex {v} fits no structural category (k={k}); "
-        "this indicates a classifier defect, not an input problem"
+    raise RuntimeError(
+        f"internal error: vertex {v} fits no structural category (k={k})"
     )
 
 

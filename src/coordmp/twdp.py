@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from coordmp.core import Graph, InputError, Instance, LimitError, connected_components
+from coordmp.core import Graph, InputError, Instance, LimitError
 from coordmp.oracle import Limits, SearchResult, solve_exact
 
+# The symbols are negative and vertex ids are not, so the sign tells them apart.
 UP = -1
 DOWN = -2
 
@@ -185,19 +186,20 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
     nodes = td.nodes
     if td.root not in nodes:
         raise InputError("root node missing")
-    seen = set()
-    stack = [td.root]
+    # One walk from the root records the bag above every node it reaches.
+    parent_bag: dict[int, frozenset[int]] = {}
+    stack = [(td.root, frozenset())]
     while stack:
-        nid = stack.pop()
-        if nid in seen:
+        nid, above = stack.pop()
+        if nid in parent_bag:
             raise InputError(f"node {nid} reachable twice (not a tree)")
-        seen.add(nid)
+        parent_bag[nid] = above
         node = nodes[nid]
         for c in node.children:
             if c not in nodes:
                 raise InputError(f"node {nid} links to unknown child {c}")
-            stack.append(c)
-    if seen != set(nodes):
+            stack.append((c, node.bag))
+    if len(parent_bag) != len(nodes):
         raise InputError("decomposition graph is not a single rooted tree")
     holders: dict[int, list[int]] = {}
     for node in nodes.values():
@@ -211,11 +213,10 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
     for u, v in graph.edges:
         if not any(v in nodes[nid].bag for nid in holders[u]):
             raise InputError(f"edge ({u}, {v}) appears in no bag")
-    index = {nid: i for i, nid in enumerate(nodes)}
-    links = [(i, index[c]) for nid, i in index.items() for c in nodes[nid].children]
-    tree = Graph(len(nodes), links)
     for v in range(graph.n):
-        if len(connected_components(tree, [index[nid] for nid in holders[v]])) != 1:
+        # The holders of v form one subtree iff exactly one of them is a top
+        # holder, whose parent does not hold v.
+        if sum(v not in parent_bag[nid] for nid in holders[v]) != 1:
             raise InputError(f"vertex {v} has a disconnected occurrence set")
     for node in nodes.values():
         kind = node.kind
@@ -246,10 +247,6 @@ def validate_td(td: NiceTreeDecomposition, graph: Graph, terminals) -> None:
 
 # ---------------------------------------------------------------------------
 # DP tables
-
-
-def _is_symbol(x) -> bool:
-    return x == UP or x == DOWN
 
 
 @dataclass
@@ -516,9 +513,9 @@ def _crosses_outside_non_portal(seq, k, exterior) -> bool:
     """True when some step moves between UP and a vertex with no edge out."""
     for a, b in seq:
         for j in range(k):
-            if a[j] == UP and not _is_symbol(b[j]) and b[j] not in exterior:
+            if a[j] == UP and b[j] >= 0 and b[j] not in exterior:
                 return True
-            if b[j] == UP and not _is_symbol(a[j]) and a[j] not in exterior:
+            if b[j] == UP and a[j] >= 0 and a[j] not in exterior:
                 return True
     return False
 
@@ -598,11 +595,7 @@ def dp_join(
             mu = 0
             for a, b in merged:
                 for j in range(k):
-                    if (
-                        a[j] != b[j]
-                        and not _is_symbol(a[j])
-                        and not _is_symbol(b[j])
-                    ):
+                    if a[j] != b[j] and a[j] >= 0 and b[j] >= 0:
                         mu += 1
             table.put_min(merged, h1 + h2 - mu)
     return table

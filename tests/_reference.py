@@ -19,7 +19,6 @@ from coordmp.twdp import (
     UP,
     DPTable,
     _crosses_outside_non_portal,
-    _is_symbol,
     _zip_merge,
 )
 
@@ -290,6 +289,11 @@ def apply_steps(positions: dict[int, int], steps) -> dict[int, int]:
             occ[v] = robot
             pos[robot] = v
     return pos
+
+
+def _is_symbol(x) -> bool:
+    """True for ``UP`` and ``DOWN`` only (twdp reads any negative as one)."""
+    return x == UP or x == DOWN
 
 
 def all_pairs_join(left_table, right_table, k: int, exterior) -> DPTable:

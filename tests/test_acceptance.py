@@ -409,7 +409,7 @@ def test_criterion_6_preprocessing_soundness(capsys):
             inst = Instance(inst_free.graph, inst_free.robots, budget=budget)
             full = solve_exact(inst, LIMITS)
             restricted = energy_ball_restrict(inst)
-            if restricted.no_instance:
+            if restricted.instance is None:
                 assert full.status != "optimal", (inst, full)
             else:
                 sub = restricted.instance
@@ -428,7 +428,7 @@ def test_criterion_6_preprocessing_soundness(capsys):
         robots = tuple(Robot(i, i, i + 4) for i in range(3))
         crowded = Instance(path, robots, budget=2)
         result = energy_ball_restrict(crowded)
-        assert result.no_instance and result.reason
+        assert result.instance is None and result.reason
         ok = True
     finally:
         _report(capsys, 6, "preprocessing soundness", ok)

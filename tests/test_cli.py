@@ -2,6 +2,8 @@
 import os
 import re
 
+import pytest
+
 from coordmp import cli
 from coordmp.cli import ALGORITHMS, main
 from coordmp.core import LimitError, parse_instance, parse_schedule, validate_schedule
@@ -164,11 +166,11 @@ def test_solve_state_cap_exit_4(tmp_path, capsys):
 
 
 def test_approx_limit_prints_summary_exit_4(tmp_path, capsys):
-    # `coordmp gen path --n 20 --robots 3 --seed 0`: no nice vertex near
-    # the robots, so approx searches the path exactly and stops at the cap.
-    edges = "".join(f"e {i} {i + 1}\n" for i in range(19))
-    inst = _file(tmp_path, "p20.gcmp",
-                 f"gcmp 1\nn 20\n{edges}r 0 12 8\nr 1 13 16\nr 2 1 15\n")
+    # No nice vertex near the robots, so approx searches the path exactly
+    # and stops at the cap.
+    inst = str(tmp_path / "p20.gcmp")
+    assert run(capsys, "gen", "path", "--n", "20", "--robots", "3", "--seed", "0",
+               "-o", inst) == (0, "", "")
     code, out, err = run(capsys, "solve", "--alg", "approx", "-i", inst,
                          "--state-cap", "1")
     assert code == 4
@@ -205,6 +207,10 @@ def test_solve_input_errors_exit_3(tmp_path, capsys):
     assert code == 3 and "input error" in err
     code, _, err = run(capsys, "solve", "--alg", "wrong", "-i", bad)
     assert code == 3
+    # A bad header is reported on its own line, here after a comment.
+    header = _file(tmp_path, "header.gcmp", "# comment\ngcmp 2\nn 2\ne 0 1\nr 0 0 1\n")
+    assert run(capsys, "solve", "--alg", "oracle", "-i", header) == (
+        3, "", "input error: line 2: expected header 'gcmp 1'\n")
 
 
 def test_solve_rejects_non_ascii_integers_exit_3(tmp_path, capsys):
@@ -320,7 +326,7 @@ def test_reduce_ignores_comments(tmp_path, capsys):
     code, out, _ = run(capsys, "reduce", "-i", plain)
     assert code == 0
     assert run(capsys, "reduce", "-i", commented) == (0, out, "")
-    assert out.startswith("reduce kappa=2 n=14 robots=3 ")
+    assert out.splitlines()[0] == "reduce kappa=2 n=14 robots=3 budget=15 subdivision=8"
 
 
 def test_reduce_rejects_a_part_label_equal_to_a_gadget_name_exit_3(tmp_path, capsys):
@@ -341,6 +347,25 @@ def test_gen_deterministic_stdout(tmp_path, capsys):
     assert inst.graph.n == 6 and inst.k == 2
     code, _, _ = run(capsys, "gen", "path", "--n", "3", "--robots", "9")
     assert code == 3
+    # --edge-prob defaults to generate()'s 0.3.
+    random_args = ("gen", "random", "--n", "6", "--robots", "2")
+    assert run(capsys, *random_args) == run(capsys, *random_args, "--edge-prob", "0.3")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("grid", "--w", "2", "--h", "2", "--n", "50", "--edge-prob", "0.9"), "--n"),
+        (("path", "--n", "3", "--w", "9"), "--w"),
+        (("random-tree", "--n", "5", "--h", "2"), "--h"),
+        (("cycle", "--n", "5", "--edge-prob", "0.5"), "--edge-prob"),
+        (("grid", "--w", "2", "--h", "2", "--edge-prob", "0.5"), "--edge-prob"),
+    ],
+    ids=["grid-n", "path-w", "random-tree-h", "cycle-edge-prob", "grid-edge-prob"],
+)
+def test_gen_rejects_options_its_kind_ignores_exit_3(capsys, argv, flag):
+    assert run(capsys, "gen", *argv) == (
+        3, "", f"input error: {flag} does not apply to gen {argv[0]}\n")
 
 
 def test_render_trace_and_frames(tmp_path, capsys):

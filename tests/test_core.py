@@ -56,6 +56,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(InputError):
         Graph(3, [(0, 3)])
+    with pytest.raises(InputError, match="^vertex count must be nonnegative$"):
+        Graph(-1)
 
 
 def test_graph_canonical_neighbors_sorted():
@@ -71,6 +73,21 @@ def test_instance_rejects_duplicate_starts_and_goals():
         Instance(g, (Robot(0, 1, 0), Robot(1, 1, 2)))
     with pytest.raises(InputError):
         Instance(g, (Robot(0, 0, 2), Robot(1, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "robots, budget, message",
+    [
+        ((Robot(0, 3, 0),), None, "robot 0 start 3 out of range"),
+        ((Robot(0, 0, -1),), None, "robot 0 goal -1 out of range"),
+        ((Robot(0, 0, 2),), -1, "budget must be nonnegative"),
+    ],
+    ids=["start", "goal", "budget"],
+)
+def test_instance_rejects_out_of_range_values(robots, budget, message):
+    with pytest.raises(InputError) as exc:
+        Instance(path_graph(3), robots, budget)
+    assert str(exc.value) == message
 
 
 def test_instance_terminals_are_every_start_and_goal():

@@ -158,6 +158,8 @@ def test_restricted_domain_validation():
         solve_restricted(inst, [{0, 1, 2}])
     with pytest.raises(InputError, match="expected 1 domains"):
         solve_restricted(inst, [{0, 1, 2, 3}, {0}])
+    with pytest.raises(InputError, match="^robot 0: domain vertex 4 out of range$"):
+        solve_restricted(inst, [{0, 1, 2, 3, 4}])
 
 
 def test_restricted_star_domain_keeps_optimum():

@@ -29,9 +29,15 @@ def test_trace_marks_all_wait_steps():
     assert lines[1:] == ["step 1: -", "step 2: -"]
 
 
-def test_trace_rejects_mismatched_robot_count():
+def test_renderers_reject_mismatched_robot_count():
+    two = Schedule((Route((0,)), Route((1,))))
     with pytest.raises(InputError):
-        render_text_trace(_p3_instance(), Schedule((Route((0,)), Route((1,)))))
+        render_text_trace(_p3_instance(), two)
+    for render in (render_dot, render_frames):
+        with pytest.raises(
+            InputError, match="^schedule robot count does not match the instance$"
+        ):
+            render(_p3_instance(), two)
 
 
 def test_dot_describes_graph_and_endpoints():

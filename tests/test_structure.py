@@ -16,6 +16,7 @@ from coordmp.generators import (
     star_graph,
 )
 from coordmp.structure import (
+    Haven,
     _packing_refutes,
     check_haven,
     classify_vertex,
@@ -129,15 +130,50 @@ def test_packing_refutation_exact_on_trees():
                 assert refuted == (ordered_is_nice(g, v, k) is None), (sorted(g.edges), v, k)
 
 
-def test_check_haven_rejects_tampering():
-    g = star_graph(4)
-    haven = is_nice(g, 0, 1)
-    bad = dataclasses.replace(haven, members=haven.members - {3})
-    with pytest.raises(InputError):
-        check_haven(g, bad)
-    bad = dataclasses.replace(haven, x=1)
-    with pytest.raises(InputError):
-        check_haven(g, bad)
+def _witnesses(*sets):
+    return tuple(frozenset(s) for s in sets)
+
+
+# Three legs of length two around vertex 0.
+SPIDER = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+# The k = 1 haven at the center of star_graph(4) and of SPIDER.
+CENTER_HAVEN = Haven(0, _witnesses({0, 1}, {0, 2}, {0, 3}), 3, frozenset({0, 1, 2, 3}), 1)
+
+
+@pytest.mark.parametrize(
+    "graph, changes, message",
+    [
+        (star_graph(4), dict(witnesses=_witnesses({0}, {0, 2}, {0, 3})),
+         "haven witness sets too small"),
+        (star_graph(4), dict(witnesses=_witnesses({1, 2}, {0, 2}, {0, 3})),
+         "first witness set misses the center"),
+        (SPIDER, dict(witnesses=_witnesses({0, 1}, {0, 5}, {0, 3})),
+         "second witness set is not connected"),
+        (star_graph(4), dict(witnesses=_witnesses({0, 1, 2}, {0, 2}, {0, 3})),
+         "witness sets must pairwise intersect exactly in the center"),
+        (star_graph(4), dict(x=1),
+         "spare vertex must be the non-center member of the third set"),
+        (SPIDER, dict(witnesses=_witnesses({0, 1}, {0, 2}, {0, 3, 6}), x=6),
+         "spare vertex must neighbor the center"),
+        (star_graph(4), dict(members=frozenset({0, 1, 2})),
+         "haven members disagree with distance-k reachability"),
+    ],
+    ids=["too-small", "misses-center", "not-connected", "overlap", "spare-outside",
+         "spare-not-adjacent", "members"],
+)
+def test_check_haven_reports_each_violation(graph, changes, message):
+    assert is_nice(star_graph(4), 0, 1) == CENTER_HAVEN
+    check_haven(graph, CENTER_HAVEN)
+    with pytest.raises(InputError) as exc:
+        check_haven(graph, dataclasses.replace(CENTER_HAVEN, **changes))
+    assert str(exc.value) == message
+
+
+def test_is_nice_bad_arguments():
+    with pytest.raises(InputError, match="^vertex 4 out of range$"):
+        is_nice(star_graph(4), 4, 1)
+    with pytest.raises(InputError, match="^k must be at least 1$"):
+        is_nice(star_graph(4), 0, 0)
 
 
 def nice_vertices(graph, k):
@@ -169,12 +205,10 @@ def test_two_path_interior_of_p5():
         tp = two_path_around(g, v)
         assert tp.path == (1, 2, 3)
         assert tp.attachments == (0, 4)
-        assert not tp.degenerate_cycle
 
 
 def test_two_path_pure_cycle_degenerate():
     tp = two_path_around(cycle_graph(5), 3)
-    assert tp.degenerate_cycle
     assert tp.attachments == ()
     assert tp.path == (0, 1, 2, 3, 4)
 

@@ -26,6 +26,7 @@ from coordmp.oracle import Limits, solve_exact
 from coordmp.twdp import (
     DOWN,
     UP,
+    NiceTreeDecomposition,
     TDNode,
     build_nice_td,
     dp_forget,
@@ -138,6 +139,104 @@ def test_validate_td_rejects_broken_axioms():
         validate_td(bad, g, {0, 2})
 
 
+# Path 0-1-2 with terminals {0, 2}: two leaves joined, then vertex 1
+# introduced and forgotten at the root, node 4.  Each case below breaks
+# one axiom of it.
+P3_TD = {
+    0: ("leaf", {0, 2}, (), None),
+    1: ("leaf", {0, 2}, (), None),
+    2: ("join", {0, 2}, (0, 1), None),
+    3: ("introduce", {0, 1, 2}, (2,), 1),
+    4: ("forget", {0, 2}, (3,), 1),
+}
+# The same with vertex 3 in every bag and among the terminals.
+P3_TD_WITH_3 = {
+    nid: (kind, bag | {3}, kids, v) for nid, (kind, bag, kids, v) in P3_TD.items()
+}
+
+
+def _p3_td(changes=(), root=4):
+    """P3_TD with nodes replaced or added; a ``None`` change deletes one."""
+    nodes = {}
+    for nid, spec in {**P3_TD, **dict(changes)}.items():
+        if spec is not None:
+            kind, bag, kids, vertex = spec
+            nodes[nid] = TDNode(nid, kind, frozenset(bag), kids, vertex)
+    return NiceTreeDecomposition(nodes, root, 0, 0, {})
+
+
+@pytest.mark.parametrize(
+    "graph, terminals, td, message",
+    [
+        (path_graph(3), {0, 2}, _p3_td(root=9), "root node missing"),
+        (path_graph(3), {0, 2},
+         _p3_td({1: None, 2: ("join", {0, 2}, (0, 0), None)}),
+         "node 0 reachable twice (not a tree)"),
+        (path_graph(3), {0, 2},
+         _p3_td({1: None, 2: ("join", {0, 2}, (0, 7), None)}),
+         "node 2 links to unknown child 7"),
+        (path_graph(3), {0, 2}, _p3_td({5: ("leaf", {0, 2}, (), None)}),
+         "decomposition graph is not a single rooted tree"),
+        (path_graph(3), {0, 2, 3}, _p3_td(P3_TD_WITH_3),
+         "node 0: bag vertex 3 out of range"),
+        (Graph(3, [(0, 2)]), {0, 2}, _p3_td({3: None, 4: None}, root=2),
+         "vertices [1] appear in no bag"),
+        # Vertex 3 hangs off vertex 1 but is introduced after 1 is forgotten.
+        (Graph(4, [(0, 1), (1, 2), (1, 3)]), {0, 2},
+         _p3_td({5: ("introduce", {0, 2, 3}, (4,), 3),
+                 6: ("forget", {0, 2}, (5,), 3)}, root=6),
+         "edge (1, 3) appears in no bag"),
+        (path_graph(3), {0, 2},
+         _p3_td({5: ("introduce", {0, 1, 2}, (4,), 1),
+                 6: ("forget", {0, 2}, (5,), 1)}, root=6),
+         "vertex 1 has a disconnected occurrence set"),
+        (path_graph(3), {0, 2}, _p3_td({4: ("leaf", {0, 2}, (3,), None)}),
+         "leaf 4 has children"),
+        (path_graph(3), {0, 2},
+         _p3_td({0: ("leaf", {0, 1, 2}, (), None), 1: None, 2: None, 3: None,
+                 4: ("forget", {0, 2}, (0,), 1)}),
+         "leaf 0 bag must equal the terminal set"),
+        (path_graph(3), {0, 2},
+         _p3_td({3: ("introduce", {0, 1, 2}, (2,), None)}),
+         "introduce 3 malformed"),
+        (path_graph(3), {0, 2}, _p3_td({3: ("introduce", {0, 1, 2}, (2,), 0)}),
+         "introduce 3 does not add exactly one vertex"),
+        (path_graph(3), {0, 2}, _p3_td({4: ("forget", {0, 2}, (3,), None)}),
+         "forget 4 malformed"),
+        (path_graph(3), {0, 2}, _p3_td({4: ("forget", {0, 2}, (3,), 0)}),
+         "forget 4 does not drop exactly one vertex"),
+        (path_graph(3), {0, 2},
+         _p3_td({1: None, 2: ("join", {0, 2}, (0,), None)}),
+         "join 2 needs two children with equal bags"),
+        (path_graph(3), {0, 2}, _p3_td({4: ("root", {0, 2}, (3,), 1)}),
+         "node 4: unknown kind 'root'"),
+        (path_graph(3), {0, 2}, _p3_td({4: None}, root=3),
+         "root bag must equal the terminal set"),
+    ],
+    ids=[
+        "root-missing", "reachable-twice", "unknown-child", "not-one-tree",
+        "vertex-out-of-range", "vertex-in-no-bag", "edge-in-no-bag",
+        "disconnected-occurrences", "leaf-children", "leaf-bag",
+        "introduce-malformed", "introduce-not-one", "forget-malformed",
+        "forget-not-one", "join-children", "unknown-kind", "root-bag",
+    ],
+)
+def test_validate_td_reports_each_violation(graph, terminals, td, message):
+    with pytest.raises(InputError) as exc:
+        validate_td(td, graph, terminals)
+    assert str(exc.value) == message
+
+
+def test_validate_td_accepts_the_unbroken_cases():
+    validate_td(_p3_td(), path_graph(3), {0, 2})
+    validate_td(_p3_td(P3_TD_WITH_3), Graph(4, [(0, 1), (1, 2)]), {0, 2, 3})
+
+
+def test_build_nice_td_rejects_a_terminal_out_of_range():
+    with pytest.raises(InputError, match=r"^terminal 3 out of range$"):
+        build_nice_td(path_graph(3), {0, 3})
+
+
 # ---------------------------------------------------------------------------
 # signature properties
 
@@ -246,6 +345,15 @@ def test_dp_leaf_frozen_path_example():
     assert () not in table.entries  # mover is not home yet
     short = dp_leaf(node, inst, 2, rho=10, exterior=node.bag)
     assert hop not in short.entries  # needs two pairs
+
+
+def test_dp_leaf_rejects_a_bag_without_the_terminals():
+    inst = Instance(path_graph(3), (Robot(0, 0, 2),))
+    node = TDNode(0, "leaf", frozenset({0}))
+    with pytest.raises(
+        InputError, match="^leaf bag must contain every robot start and goal$"
+    ):
+        dp_leaf(node, inst, 8, rho=10, exterior=node.bag)
 
 
 def test_dp_introduce_frozen_lift():
