@@ -234,10 +234,6 @@ class _Pipeline:
                 self.emit_swap(haven, self.relocation(haven, rid, q))
                 i = j
                 continue
-            if not self.occupants(haven):
-                self.emit_move(rid, nxt)
-                i += 1
-                continue
             blocker = occ.get(nxt)
             if blocker is not None:
                 self.emit_swap(haven, {blocker: self.spare(haven, q)})
@@ -314,8 +310,8 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
     routing is blocked, one exact search decides the component: no goal is
     infeasible, an optimum gives the steps, and the state cap raises
     LimitError (blocked routing, ``solve_exact``) or, with no haven nearby,
-    its subclass UnsupportedStructureError tagged with the offending
-    endpoint (``solve_critical``, which compresses the corridors).
+    its subclass UnsupportedStructureError, whose message classifies the
+    offending endpoint (``solve_critical``, which compresses the corridors).
     """
     if len(robots) == 1:
         robot = robots[0]
@@ -361,8 +357,7 @@ def _solve_component(graph, robots, limits) -> list[MoveStep]:
     raise UnsupportedStructureError(
         f"vertex {offender} is farther than {NICE_RADIUS_FACTOR}*k from every "
         f"nice vertex (classified {tag.kind}) and the exact search of its "
-        f"component hit the state cap of {limits.max_states}",
-        tag=tag,
+        f"component hit the state cap of {limits.max_states}"
     )
 
 

@@ -69,15 +69,18 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str, report: str = "") -> None:
+    """Write ``text`` to ``path``, or to stdout after ``report`` when None;
+    with a path, ``report`` goes to stdout once the file is written."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(report + text)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
+    sys.stdout.write(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,9 +155,11 @@ def _cmd_solve(args) -> int:
         print(f"limit reached: {exc}", file=sys.stderr)
         result = SearchResult("entry-limit" if args.alg == "twdp" else "state-limit")
     energy = "-" if result.energy is None else result.energy
-    print(f"alg={args.alg} energy={energy} status={result.status}")
-    if result.schedule is not None:
-        _write(args.out, render_schedule(result.schedule))
+    summary = f"alg={args.alg} energy={energy} status={result.status}\n"
+    if result.schedule is None:
+        sys.stdout.write(summary)
+    else:
+        _write(args.out, render_schedule(result.schedule), summary)
     # state-limit, entry-limit and budget-limited runs end at the limit.
     return _EXIT_BY_STATUS.get(result.status, EXIT_LIMIT)
 
@@ -197,12 +202,10 @@ def _cmd_preprocess(args) -> int:
         print("preprocess status=no-instance")
         return EXIT_OVER_BUDGET
     sub = result.instance
-    print(f"preprocess status=ok n={sub.graph.n} k={sub.k}")
-    for orig in sorted(result.vertex_map):
-        print(f"map {orig} {result.vertex_map[orig]}")
-    for orig in sorted(result.robot_map):
-        print(f"robot {orig} {result.robot_map[orig]}")
-    _write(args.out, render_instance(sub))
+    report = [f"preprocess status=ok n={sub.graph.n} k={sub.k}"]
+    report += [f"map {v} {result.vertex_map[v]}" for v in sorted(result.vertex_map)]
+    report += [f"robot {r} {result.robot_map[r]}" for r in sorted(result.robot_map)]
+    _write(args.out, render_instance(sub), "\n".join(report) + "\n")
     return EXIT_OK
 
 
@@ -210,11 +213,11 @@ def _cmd_reduce(args) -> int:
     mcg = parse_mcc(_read(args.input))
     red = reduce_mcc(mcg)
     inst = red.instance
-    print(f"reduce kappa={red.kappa} n={inst.graph.n} robots={inst.k} "
-          f"budget={inst.budget} subdivision={red.subdivision}")
+    report = [f"reduce kappa={red.kappa} n={inst.graph.n} robots={inst.k} "
+              f"budget={inst.budget} subdivision={red.subdivision}"]
     for name, vid in sorted(red.names.items(), key=lambda kv: kv[1]):
-        print(f"name {name} {vid}")
-    _write(args.out, render_instance(inst))
+        report.append(f"name {name} {vid}")
+    _write(args.out, render_instance(inst), "\n".join(report) + "\n")
     return EXIT_OK
 
 

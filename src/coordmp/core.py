@@ -8,12 +8,21 @@ legal); ``validate_schedule`` checks every step of a schedule for both.
 Energy counts moving steps only; waiting is free.  The solvers take
 an instance's terminals (every start and goal) from ``Instance.terminals``.
 
-Graph traversal lives here too, and every solver breaks ties the same way:
-neighbor lists are ascending, ``layers`` lists each breadth-first layer in
-ascending id order (so whole searches run in (distance, id) order), and
-``path_avoiding`` returns the first target a breadth-first search over
-ascending neighbors reaches.  Which haven center, pocket or route a solver
-picks follows from these rules.
+Graph traversal lives here too, and every solver breaks ties the same way.
+Neighbor lists are ascending, and each walk order has one implementation:
+
+- ``layers`` lists each breadth-first layer in ascending id order, for
+  questions asked in (distance, id) order;
+- ``bfs_walk`` runs first-in first-out over ascending neighbors, for
+  parents, paths and reachability (``path_avoiding`` returns the first
+  target it reaches; ``bfs_distances`` inlines it, since through the
+  generator the oracle's per-robot distance tables take ~60% longer);
+- ``corridor`` follows the forced walk through degree-2 vertices.
+
+Which haven center, pocket or route a solver picks follows from these
+rules.  The one walk of the input graph left outside this module is
+``structure.compute_motion_domain``'s: it enters high-degree hubs but does
+not expand them.
 
 This module also owns the text formats for instances and schedules, which
 are bit-exact under parse/render round-trips on canonical files, and the
@@ -26,10 +35,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from coordmp.structure import VertexTypeTag
 
 
 class InputError(ValueError):
@@ -46,14 +51,7 @@ class InfeasibleError(RuntimeError):
 
 class UnsupportedStructureError(LimitError):
     """The state cap cut the exact search that a solver falls back on where
-    the instance lies outside its structural preconditions.
-
-    ``tag``, when set, classifies the vertex that fell outside them.
-    """
-
-    def __init__(self, message: str, tag: VertexTypeTag | None = None):
-        super().__init__(message)
-        self.tag = tag
+    the instance lies outside its structural preconditions."""
 
 
 class Graph:
@@ -352,6 +350,39 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> ValidationResul
     return ValidationResult(True, energy=e, over_budget=over)
 
 
+def bfs_walk(graph: Graph, sources, banned=()):
+    """Breadth-first walk from ``sources`` that never enters ``banned``.
+
+    Yields ``(parent, vertex)`` in discovery order, the sources first with
+    parent None.  The queue is first-in first-out over ascending neighbor
+    lists, so a vertex's parent is the first dequeued vertex that reaches
+    it.  The walk is lazy: a caller that stops early does no further work.
+    """
+    seen = set(sources)
+    queue = list(sources)  # read in order while the walk appends to it
+    for s in sources:
+        yield None, s
+    for a in queue:
+        for b in graph.neighbors(a):
+            if b not in seen and b not in banned:
+                seen.add(b)
+                queue.append(b)
+                yield a, b
+
+
+def corridor(graph: Graph, prev: int, cur: int, stop) -> list[int]:
+    """The forced walk that leaves ``prev`` for its neighbor ``cur``: ``cur``
+    and each vertex after it, through degree-2 vertices outside ``stop`` (which
+    ends a walk around a cycle), up to and including the first that is not one.
+    """
+    walk = [cur]
+    while graph.degree(cur) == 2 and cur not in stop:
+        a, b = graph.neighbors(cur)
+        prev, cur = cur, (b if a == prev else a)
+        walk.append(cur)
+    return walk
+
+
 def bfs_distances(graph: Graph, source: int) -> list[int | None]:
     """BFS distance from source to every vertex; None when unreachable."""
     dist: list[int | None] = [None] * graph.n
@@ -369,7 +400,7 @@ def bfs_distances(graph: Graph, source: int) -> list[int | None]:
 def _check_vertices(graph: Graph, *vertices: int) -> None:
     for x in vertices:
         if not 0 <= x < graph.n:
-            raise InputError(f"vertex out of range: {x}")
+            raise InputError(f"vertex {x} out of range")
 
 
 def shortest_path_distance(graph: Graph, u: int, v: int) -> int | None:
@@ -410,27 +441,17 @@ def layers(graph: Graph, sources, radius: int | None = None, within=None):
 def path_avoiding(graph: Graph, source: int, targets, banned) -> list[int] | None:
     """Shortest path from source to any target avoiding banned vertices.
 
-    Breadth-first over ascending neighbor lists: a vertex's parent is the
-    first dequeued vertex that reaches it, and the first target reached
-    wins.  None when no target is reachable.
+    The first target ``bfs_walk`` reaches wins, by its parents.  None when
+    no target is reachable.
     """
-    if source in targets:
-        return [source]
-    parent = {source: source}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in graph.neighbors(a):
-            if b in parent or b in banned:
-                continue
-            parent[b] = a
-            if b in targets:
-                path = [b]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(b)
+    parent = {}
+    for a, b in bfs_walk(graph, (source,), banned):
+        parent[b] = a
+        if b in targets:
+            path = [b]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
     return None
 
 

@@ -6,7 +6,6 @@ other using O(k^3) individual moves, all confined to the haven's members.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -17,6 +16,7 @@ from .core import (
     MoveLog,
     MoveStep,
     Robot,
+    bfs_walk,
     schedule_steps,
 )
 from .oracle import Limits, solve_restricted
@@ -43,7 +43,7 @@ class _Tree:
     """A BFS tree over one witness set, rooted at the haven center."""
 
     root: int
-    parent: dict[int, int]
+    parent: dict[int, int | None]
     depth: dict[int, int]
     vertices: frozenset[int]
 
@@ -56,16 +56,10 @@ class _Tree:
 
 
 def _bfs_tree(graph: Graph, root: int, vertices: frozenset[int]) -> _Tree:
-    parent = {}
-    depth = {root: 0}
-    frontier = deque((root,))
-    while frontier:
-        u = frontier.popleft()
-        for nb in graph.neighbors(u):
-            if nb in vertices and nb not in depth:
-                parent[nb] = u
-                depth[nb] = depth[u] + 1
-                frontier.append(nb)
+    parent, depth = {}, {}
+    for u, v in bfs_walk(graph, (root,), set(range(graph.n)).difference(vertices)):
+        parent[v] = u
+        depth[v] = 0 if u is None else depth[u] + 1
     return _Tree(root=root, parent=parent, depth=depth, vertices=vertices)
 
 

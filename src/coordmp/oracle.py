@@ -42,6 +42,7 @@ from coordmp.core import (
     Route,
     Schedule,
     bfs_distances,
+    corridor,
     layers,
 )
 
@@ -349,15 +350,9 @@ def _transit_edges(graph: Graph, critical: frozenset[int]):
         for c in graph.neighbors(u):
             if c in critical:
                 continue
-            path = [u, c]
-            prev, cur = u, c
-            while cur not in critical:
-                nbs = graph.neighbors(cur)
-                nxt = nbs[0] if nbs[0] != prev else nbs[1]
-                path.append(nxt)
-                prev, cur = cur, nxt
-            if cur != u:
-                transits[u].append((cur, len(path) - 1, tuple(path)))
+            path = (u, *corridor(graph, u, c, critical))
+            if path[-1] != u:
+                transits[u].append((path[-1], len(path) - 1, path))
     for u in transits:
         transits[u].sort(key=lambda t: (t[0], t[1], t[2]))
     return transits

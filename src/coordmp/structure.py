@@ -12,13 +12,17 @@ the connected component containing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 
 from .core import (
     Graph,
     InputError,
     Instance,
+    _check_vertices,
+    bfs_walk,
     connected_components,
+    corridor,
     layers,
 )
 
@@ -113,11 +117,6 @@ class MotionDomain:
     degree_threshold: int
 
 
-def _check_vertex(graph: Graph, v: int) -> None:
-    if not 0 <= v < graph.n:
-        raise InputError(f"vertex {v} out of range")
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise InputError("k must be at least 1")
@@ -127,16 +126,9 @@ def _grow(graph: Graph, sources, blocked, limit: int | None = None) -> set[int]:
     """Vertices reachable from ``sources`` without entering ``blocked``.
 
     The walk stops as soon as ``limit`` vertices are found (never when
-    ``limit`` is None), so a size test costs at most ``limit`` expansions.
+    ``limit`` is None), so a size test costs at most ``limit`` discoveries.
     """
-    seen = set(sources)
-    stack = list(seen)
-    while stack and (limit is None or len(seen) < limit):
-        for w in graph.neighbors(stack.pop()):
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    return set(islice(map(itemgetter(1), bfs_walk(graph, sources, blocked)), limit))
 
 
 def _packing_refutes(graph: Graph, v: int, k: int) -> bool:
@@ -246,7 +238,7 @@ def is_nice(graph: Graph, v: int, k: int) -> Haven | None:
     The returned witness is therefore the first (C1, C2, x) in enumeration
     order, the same one the unpruned enumeration returns.
     """
-    _check_vertex(graph, v)
+    _check_vertices(graph, v)
     _check_k(k)
     deg = graph.degree(v)
     if deg < 3:
@@ -293,15 +285,14 @@ def is_nice(graph: Graph, v: int, k: int) -> Haven | None:
 
 def check_haven(graph: Graph, haven: Haven) -> None:
     """Raise InputError unless ``haven`` satisfies every structural invariant."""
-    _check_vertex(graph, haven.center)
+    _check_vertices(graph, haven.center)
     c1, c2, c3 = haven.witnesses
     k = haven.k
     _check_k(k)
     if len(c1) < k + 1 or len(c2) < k + 1 or len(c3) < 2:
         raise InputError("haven witness sets too small")
     for name, cs in (("first", c1), ("second", c2), ("third", c3)):
-        for u in cs:
-            _check_vertex(graph, u)
+        _check_vertices(graph, *cs)
         if haven.center not in cs:
             raise InputError(f"{name} witness set misses the center")
         if len(connected_components(graph, cs)) != 1:
@@ -340,33 +331,23 @@ def two_path_around(graph: Graph, v: int) -> TwoPath:
     Raises InputError when ``v`` does not have degree 2.  When the whole
     component is a cycle of degree-2 vertices the result has no attachments.
     """
-    _check_vertex(graph, v)
+    _check_vertices(graph, v)
     if graph.degree(v) != 2:
         raise InputError(f"vertex {v} has degree {graph.degree(v)}, not 2")
-
-    def walk(first: int):
-        chain = []
-        prev, cur = v, first
-        while graph.degree(cur) == 2 and cur != v:
-            chain.append(cur)
-            a, b = graph.neighbors(cur)
-            prev, cur = cur, (b if a == prev else a)
-        return chain, cur
-
     n1, n2 = graph.neighbors(v)
-    left_chain, left_end = walk(n1)
-    if left_end == v:
+    left = corridor(graph, v, n1, (v,))
+    if left[-1] == v:
         # Walked all the way around: pure cycle. Canonical rotation starts at
         # the lowest vertex, heading toward its lower cycle neighbor.
-        order = [v] + left_chain
+        order = [v] + left[:-1]
         i = order.index(min(order))
         rot = order[i:] + order[:i]
         if len(rot) > 2 and rot[1] > rot[-1]:
             rot = [rot[0]] + rot[:0:-1]
         return TwoPath(path=tuple(rot), attachments=())
-    right_chain, right_end = walk(n2)
-    path = list(reversed(left_chain)) + [v] + right_chain
-    atts = (left_end, right_end)
+    right = corridor(graph, v, n2, (v,))
+    path = left[:-1][::-1] + [v] + right[:-1]
+    atts = (left[-1], right[-1])
     if atts[0] > atts[1] or (atts[0] == atts[1] and path[0] > path[-1]):
         path.reverse()
         atts = (atts[1], atts[0])
@@ -389,7 +370,7 @@ def classify_vertex(
     none applies the classifier itself is at fault: that raises RuntimeError
     as an internal error, never an input or limit error.
     """
-    _check_vertex(graph, v)
+    _check_vertices(graph, v)
     _check_k(k)
     cache = nice_cache if nice_cache is not None else {}
 
@@ -435,8 +416,6 @@ def classify_vertex(
     candidates = []
     for tp in two_paths(ball):
         a1, a2 = tp.attachments
-        if a1 == a2:
-            continue
         comps = components_without(tp.path)
         for aj, ao in ((a1, a2), (a2, a1)):
             q = next(c for c in comps if aj in c)

@@ -298,6 +298,28 @@ def test_preprocess_output_solves_with_dropped_low_id_robot(tmp_path, capsys):
     assert out.splitlines()[0] == "alg=oracle energy=1 status=optimal"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--alg", "oracle", "-i", "p3.gcmp"),
+        ("preprocess", "-i", "p3.gcmp"),
+        ("reduce", "-i", "g.mcc"),
+    ],
+)
+def test_failed_write_prints_no_success_line_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # On stdout the report comes ahead of the written text; with -o it
+    # follows a successful write and a failed one prints nothing.
+    monkeypatch.chdir(tmp_path)
+    _file(tmp_path, "p3.gcmp", P3_BUDGET2)
+    _file(tmp_path, "g.mcc", "mcc 1\npart 1 a\npart 2 x\nedge a x\n")
+    code, report, _ = run(capsys, *argv, "-o", "written")
+    assert code == 0 and report
+    assert run(capsys, *argv) == (0, report + (tmp_path / "written").read_text(), "")
+    code, out, err = run(capsys, *argv, "-o", "missing/x")
+    assert (code, out) == (3, "")
+    assert err.startswith("input error: cannot write missing/x: ")
+
+
 # ---------------------------------------------------------------------------
 # reduce / gen / render
 # ---------------------------------------------------------------------------

@@ -56,6 +56,12 @@ def test_shape_parameter_errors():
         generate("grid", n=4)  # grid needs width/height
     with pytest.raises(InputError):
         generate("random", n=5, edge_prob=1.5)
+    with pytest.raises(InputError, match="^star needs at least 1 vertex$"):
+        generate("star", n=0)
+    with pytest.raises(InputError, match="^tree needs at least 1 vertex$"):
+        generate("random-tree", n=0)
+    with pytest.raises(InputError, match="^path requires a vertex count$"):
+        generate("path")
 
 
 def test_random_graphs_are_connected_and_seeded():

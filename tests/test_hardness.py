@@ -227,6 +227,8 @@ def test_witness_rejects_non_cliques():
         witness_schedule(m, ["a", "b", "c"])
     with pytest.raises(InputError):
         witness_schedule(m, ["a", "b"])  # too few vertices
+    with pytest.raises(InputError, match="^unknown vertex 'zz'$"):
+        witness_schedule(m, ["a", "b", "zz"])
     m2 = _mcg([["a", "b"], ["x"]], [("a", "x")])
     with pytest.raises(InputError):
         witness_schedule(m2, ["a", "b"])  # two picks in one part
