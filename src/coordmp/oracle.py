@@ -12,7 +12,13 @@ Transitions are parallel conflict-free moves weighted by the number of
 moving robots.  One A* search on goal distances (``_search``) answers
 every question put to the oracle, one search per call, and returns the
 status where it learns it.  Among entries of equal f it pops the
-deepest first, then the smallest code, so it is deterministic.
+deepest first, then the smallest code, so it is deterministic.  It
+pushes a successor only once the search reaches the successor's f-layer:
+one marker entry per expanded configuration stands in for the successors
+held back, sorted ahead of every one of them, so the search pops what it
+would pop had it pushed them all, and its memory follows the f-layers
+reached, not every configuration generated.  The marker's key and the
+parent tie rule that keeps every schedule are in ``_search``.
 
 Any legal parallel step decomposes into independent chains and fully
 occupied cycles: chains serialize into single moves at equal total
@@ -54,12 +60,14 @@ class Limits:
     """Resource limits for configuration searches.
 
     max_states caps expanded states and must be positive.  It bounds
-    memory only through the branching: memory follows reached states, 210
-    to 240 bytes each (table and heap entries), and the number reached per
-    expansion grows with vertex degree.  At ``Limits(40_000)`` an 8x8 grid
-    with k=8 peaks at 3.4 KB of RSS per expanded state, while a broom (a
-    hub with 1,000 leaves and two 4-edge arms, k=3) peaks at 29 KB
-    (CPython 3.11, 64-bit).
+    memory only through the branching: memory follows pushed states, 210
+    to 240 bytes each (table and heap entries), plus under 100 bytes per
+    expanded state (its marker and expansion index).  A successor is
+    pushed only once the search reaches its f-layer, so the number pushed
+    per expansion grows with vertex degree and with the f-layers crossed.
+    At ``Limits(40_000)`` an 8x8 grid with k=8 peaks at 0.3 KB of RSS per
+    expanded state, while a broom (a hub with 1,000 leaves and two 4-edge
+    arms, k=3) peaks at 6.5 KB (CPython 3.11, 64-bit).
     """
 
     max_states: int = DEFAULT_STATE_CAP
@@ -232,17 +240,29 @@ def _search(instance, successors, limits) -> SearchResult:
     (None for one step).  The bound on remaining goal distance is
     consistent even for restricted successor graphs, whose moves are a
     subset of the base graph's, so the first goal popped is optimal.  A
-    successor's bound is its parent's, f - g of the popped entry, plus dh.
+    successor's bound is its parent's, f - g, plus dh.
 
     Heap entries are (f, -g, code): among equal f the deepest entry pops
-    first.  Single moves change f by 0 or 2, so the last f-layer holds
-    most of the reached states, and popping the deepest of them first
-    reaches the goal (the deepest entry of its layer) without expanding
-    the rest.  Ties on f and g pop the smallest code, that is the
-    lexicographically smallest state.  A popped code is decoded once (k
-    divmods) for its successors.  One table maps each reached code to (g,
-    parent code, steps).  The instance budget only judges the first goal
-    popped: above it the result is budget-exceeded, otherwise optimal.
+    first, and ties on f and g pop the smallest code, that is the
+    lexicographically smallest state.  One table maps each reached code to
+    (g, parent code, steps), and an expanded code to (g, parent code,
+    steps, expansion index).  The instance budget only judges the first
+    goal popped: above it the result is budget-exceeded, otherwise optimal.
+
+    Successors are deferred by f-layer.  Expanding p pushes only the
+    children whose f equals p's; the others wait behind one marker entry
+    (f', -(g + w), -1 - p), f' being the smallest f held back and w the
+    largest weight at f'.  Each held-back child's entry (f_c, -g_c, c) has
+    f_c >= f', g_c <= g + w and c >= 0, so the marker sorts before it, and
+    real entries pop in the order of a search that pushes every successor
+    at once.  Popping a marker is not an expansion: it generates p's
+    successors again, pushes those at f' and pushes a marker for the next
+    f-layer that still holds some.  A child keeps the first-expanded parent
+    among those reaching it at its least g; a marker can release p's child
+    after a later-expanded parent recorded it at that g, so then p takes
+    the parent over and nothing is pushed.  The expansion count, every
+    status and every schedule are thus those of the eager search, while
+    the pushes, and with them the memory, shrink to the f-layers reached.
     """
     dists, place, code, h = _start(instance)
     if h is None:
@@ -253,26 +273,49 @@ def _search(instance, successors, limits) -> SearchResult:
     max_states = (limits or Limits()).max_states
     expanded = 0
     while heap:
-        f, neg_g, code = heapq.heappop(heap)
-        g = -neg_g
-        if g > table[code][0]:
-            continue
-        if f == g:
-            if instance.budget is not None and g > instance.budget:
-                return SearchResult("budget-exceeded", states_expanded=expanded)
-            sched = _reconstruct(instance, table, code)
-            return SearchResult("optimal", g, sched, expanded)
-        expanded += 1
-        if expanded > max_states:
-            return SearchResult("state-limit", states_expanded=expanded)
-        state = _decode(code, n, k)
+        layer, neg_g, code = heapq.heappop(heap)
+        if code < 0:  # marker -1 - p: release p's children in f-layer `layer`
+            code = -1 - code
+            g, _, _, order = table[code]
+            state = _decode(code, n, k)
+            f = g + sum(d[v] for d, v in zip(dists, state))
+        else:
+            f, g = layer, -neg_g
+            seen = table[code]
+            if g > seen[0]:
+                continue
+            if f == g:
+                if instance.budget is not None and g > instance.budget:
+                    return SearchResult("budget-exceeded", states_expanded=expanded)
+                sched = _reconstruct(instance, table, code)
+                return SearchResult("optimal", g, sched, expanded)
+            expanded += 1
+            if expanded > max_states:
+                return SearchResult("state-limit", states_expanded=expanded)
+            order = expanded
+            table[code] = (g, seen[1], seen[2], order)
+            state = _decode(code, n, k)
+        next_f = next_w = None
         for nxt, weight, dh, steps in successors(state, code, place, dists):
+            nf = f + weight + dh
+            if nf != layer:
+                if nf > layer and (
+                    next_f is None or nf < next_f or nf == next_f and weight > next_w
+                ):
+                    next_f, next_w = nf, weight
+                continue
             ng = g + weight
             seen = table.get(nxt)
             if seen is not None and ng >= seen[0]:
+                # Only a marker's parent (order < expanded) can predate the
+                # recorded one.
+                if ng == seen[0] and order < expanded and table[seen[1]][3] > order:
+                    table[nxt] = (ng, code, steps)
                 continue
             table[nxt] = (ng, code, steps)
-            heapq.heappush(heap, (f + weight + dh, -ng, nxt))
+            heapq.heappush(heap, (nf, -ng, nxt))
+        if next_f is not None:
+            heapq.heappush(heap, (next_f, -(g + next_w), -1 - code))
     return SearchResult("infeasible", states_expanded=expanded)
 
 

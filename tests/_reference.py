@@ -12,7 +12,14 @@ from functools import partial
 from itertools import combinations, product
 
 from coordmp.core import Graph, InputError, Instance, LimitError, Route, Schedule
-from coordmp.oracle import _decode, _start, _successors
+from coordmp.oracle import (
+    Limits,
+    SearchResult,
+    _decode,
+    _reconstruct,
+    _start,
+    _successors,
+)
 from coordmp.structure import Haven, _make_haven
 from coordmp.twdp import (
     DOWN,
@@ -262,6 +269,46 @@ def bfs_feasibility(instance: Instance, limits) -> str:
             seen[nxt] = h + dh
             queue.append(nxt)
     return "infeasible"
+
+
+def eager_search(instance: Instance, successors, limits) -> SearchResult:
+    """The search core with no deferred successors.
+
+    The reference for ``oracle._search``: the same A* with the same heap
+    key, table and goal test, but it pushes every improving successor the
+    moment its parent is expanded, so a child keeps the first parent that
+    reaches it at its least g.
+    """
+    dists, place, code, h = _start(instance)
+    if h is None:
+        return SearchResult("infeasible")  # a goal is cut off even with no other robot
+    n, k = instance.graph.n, instance.k
+    table = {code: (0, None, None)}
+    heap = [(h, 0, code)]
+    max_states = (limits or Limits()).max_states
+    expanded = 0
+    while heap:
+        f, neg_g, code = heapq.heappop(heap)
+        g = -neg_g
+        if g > table[code][0]:
+            continue
+        if f == g:
+            if instance.budget is not None and g > instance.budget:
+                return SearchResult("budget-exceeded", states_expanded=expanded)
+            sched = _reconstruct(instance, table, code)
+            return SearchResult("optimal", g, sched, expanded)
+        expanded += 1
+        if expanded > max_states:
+            return SearchResult("state-limit", states_expanded=expanded)
+        state = _decode(code, n, k)
+        for nxt, weight, dh, steps in successors(state, code, place, dists):
+            ng = g + weight
+            seen = table.get(nxt)
+            if seen is not None and ng >= seen[0]:
+                continue
+            table[nxt] = (ng, code, steps)
+            heapq.heappush(heap, (f + weight + dh, -ng, nxt))
+    return SearchResult("infeasible", states_expanded=expanded)
 
 
 def apply_steps(positions: dict[int, int], steps) -> dict[int, int]:

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from functools import partial
 from itertools import chain
 
 import pytest
 
+from coordmp import oracle
 from coordmp.core import (
     Graph,
     InputError,
@@ -39,6 +41,7 @@ from _reference import (
     bfs_feasibility,
     brute_force_feasible,
     brute_force_optimum,
+    eager_search,
     legal_parallel_steps,
     random_connected_graph,
 )
@@ -767,3 +770,85 @@ def test_every_search_answer_pinned():
                 digest.update(repr((idx, budget, cap, got)).encode())
     assert statuses == {"optimal", "infeasible", "budget-exceeded", "state-limit"}
     assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# deferred successors: the eager search's answers, in less memory
+# ---------------------------------------------------------------------------
+
+
+def _identity_sweep_instances():
+    # Grid seeds whose restricted search ends within a few thousand
+    # expansions; on most others it is infeasible only after 80k to 165k,
+    # too slow here at the default cap.
+    grids = (
+        (5, 5, 1, (7, 8)),
+        (5, 6, 2, (11, 13)),
+        (6, 6, 1, (12,)),
+    )
+    out = [
+        generate("grid", width=side, height=side, robots=k, free_robots=free, seed=seed)
+        for side, k, free, seeds in grids
+        for seed in seeds
+    ]
+    for seed in range(3):
+        out.append(generate("random-tree", n=12, robots=4, free_robots=1, seed=seed))
+        out.append(generate("random", n=12, robots=4, free_robots=1, edge_prob=0.2, seed=seed))
+        out.append(_corridor_instance(random.Random(seed), 9 + seed))
+    return out
+
+
+def test_search_matches_the_eager_search(monkeypatch):
+    # _search defers successors above their parent's f-layer; the eager
+    # reference pushes them all at once.  Both must pop the same entries,
+    # so every status, energy, expansion count and schedule is the same.
+    def canonical(res):
+        routes = None if res.schedule is None else tuple(
+            r.positions for r in res.schedule.routes
+        )
+        return (res.status, res.energy, res.states_expanded, routes)
+
+    instances = _identity_sweep_instances()
+    assert any(  # corridor transits longer than two edges
+        weight > 2
+        for inst in instances
+        for moves in _transit_edges(inst.graph, critical_vertices(inst)).values()
+        for _, weight, _ in moves
+    )
+
+    def sweep():
+        out = []
+        for inst in instances:
+            top = solve_exact(inst).energy
+            domains = _restricted_domains(inst)
+            for budget in (None, top, None if top is None else top - 1):
+                case = Instance(inst.graph, inst.robots, budget)
+                for limits in (None, Limits(20), Limits(500)):
+                    out.extend(canonical(res) for res in (
+                        solve_exact(case, limits),
+                        solve_restricted(case, domains, limits),
+                        solve_critical(case, limits),
+                    ))
+        return out
+
+    got = sweep()
+    monkeypatch.setattr(oracle, "_search", eager_search)
+    want = sweep()
+    assert got == want
+    statuses = {status for status, *_ in got}
+    assert statuses == {"optimal", "infeasible", "budget-exceeded", "state-limit"}
+
+
+def test_search_memory_follows_the_layers_reached():
+    # 6x6 grid, 6 robots: optimal 31 after 15,328 expansions.  Pushing
+    # every successor at once peaked near 29 MB here; deferring those
+    # above the parent's f-layer keeps the peak near 5 MB.
+    inst = generate("grid", width=6, height=6, robots=6, seed=1)
+    tracemalloc.start()
+    try:
+        res = solve_exact(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.energy, res.states_expanded) == ("optimal", 31, 15_328)
+    assert peak < 10_000_000
